@@ -25,7 +25,6 @@ from .geometry import (
     CorrelationTriple,
     GeometryError,
     VarianceProfile,
-    closed_form_infimum_sq,
     combined_sd,
     contrast,
     elliptope_det,
@@ -71,7 +70,6 @@ __all__ = [
     "StudyLedger",
     "StudySummary",
     "VarianceProfile",
-    "closed_form_infimum_sq",
     "combine",
     "combined_sd",
     "contrast",

@@ -10,10 +10,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from . import engine, ledger, simulate
-from .geometry import GeometryError
 
 SCHEMA_VERSION = 1
 
@@ -23,8 +22,10 @@ EXIT_INPUT = 2
 
 
 def _round2(x: float) -> str:
-    # table values round half-up to 2 decimals, like the published tables
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    # table values round half-up to 2 decimals, like the published tables;
+    # 320 digits hold any finite float (the default 28 overflow at ~1e26)
+    context = Context(prec=320)
+    return str(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_HALF_UP, context))
 
 
 def _fmt_bound(x: float) -> str:
@@ -197,7 +198,7 @@ def cmd_compute(args, out=None, err=None) -> int:
         )
         tail_v = 2.0
         tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
-    except (GeometryError, ValueError) as exc:
+    except ValueError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_COMPUTE
     if args.format == "json":

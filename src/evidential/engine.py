@@ -26,7 +26,9 @@ In ``paper`` mode the floor is the computable proxy
 :func:`~evidential.geometry.paper_lower_bound_sq`, which is only an upper
 bound for the true floor, so the below-regime yields an interval
 [value at proxy floor, unconstrained maximum].  In ``exact`` mode the
-floor is the numeric infimum and the below-regime collapses to a point.
+floor is the closed-form infimum
+:func:`~evidential.geometry.exact_infimum_sq` and the below-regime
+collapses to a point.
 V is never below 1: this screen produces no exculpatory evidence.
 """
 
@@ -37,9 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-from scipy.optimize import bisect
-
-from .geometry import contrast, paper_lower_bound_sq, variance_profile
+from .geometry import contrast, independence_variance, variance_profile
 
 __all__ = [
     "Case",
@@ -122,28 +122,14 @@ def evidential_value(study, mode: Union[Mode, str] = Mode.PAPER) -> EvidentialVa
     """Evidential value of one study in favor of fabrication.
 
     ``paper`` mode reproduces the published bounds; ``exact`` mode uses the
-    numerically computed variance infimum and always returns a point value
+    closed-form variance infimum and always returns a point value
     (possibly the distinguished unbounded one).
     """
     mode = Mode(mode)
-    from .ledger import LedgerError, validate
-
-    problems = validate(study)
-    if problems:
-        raise LedgerError(
-            f"study '{study.id}': " + "; ".join(problems), study_id=study.id
-        )
-    if mode is Mode.EXACT:
-        profile = variance_profile(study)
-        s0_sq = profile.s0_sq
-        floor_sq = profile.exact_lower_sq
-        nz_sq = profile.nz_sq
-    else:
-        s1, s2, s3 = study.sds
-        s0_sq = s1 * s1 + 4.0 * s2 * s2 + s3 * s3
-        floor_sq = paper_lower_bound_sq(study.sds)
-        z = contrast(study.means)
-        nz_sq = study.n * z * z
+    profile = variance_profile(study)
+    s0_sq = profile.s0_sq
+    nz_sq = profile.nz_sq
+    floor_sq = profile.exact_lower_sq if mode is Mode.EXACT else profile.paper_lower_sq
 
     if nz_sq > s0_sq:
         return EvidentialValue(1.0, 1.0, Case.ABOVE, mode)
@@ -168,8 +154,7 @@ def z_v_statistic(study) -> float:
     Approximately standard normal when the cell means follow the linear
     constraint; values near zero are what inflate the evidential value.
     """
-    s1, s2, s3 = study.sds
-    s0 = math.sqrt(s1 * s1 + 4.0 * s2 * s2 + s3 * s3)
+    s0 = math.sqrt(independence_variance(study.sds))
     return math.sqrt(study.n) * contrast(study.means) / s0
 
 
@@ -197,8 +182,16 @@ def threshold_ratio(v: float) -> float:
     lo = 0.5
     while f(lo) <= 0.0:
         lo *= 0.5
-    t = bisect(f, lo, 1.0, xtol=1e-15, rtol=1e-13)
-    return math.sqrt(t)
+    # bisection on [lo, 1], where f(lo) > 0 > f(1)
+    half = 1.0 - lo
+    while True:
+        half *= 0.5
+        t = lo + half
+        f_t = f(t)
+        if f_t >= 0.0:
+            lo = t
+        if f_t == 0.0 or half < 1e-15 + 1e-13 * t:
+            return math.sqrt(t)
 
 
 def null_tail_probability(v: float) -> float:

@@ -20,9 +20,9 @@ is
     s(rho) = sqrt(s1^2 + 4 s2^2 + s3^2
                   - 4 s1 s2 rho3 + 2 s1 s3 rho2 - 4 s2 s3 rho1)
 
-This module evaluates ``s`` and computes the infimum of ``s^2`` over the
-variance-reducing part of the admissible region, which is the scale that
-drives the evidential-value bounds.
+This module evaluates ``s``, gives the infimum of ``s^2`` over the
+variance-reducing part of the admissible region in closed form, and
+collects the scale quantities of a study in one :class:`VarianceProfile`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-import numpy as np
+from .ledger import LedgerError, validate
 
 __all__ = [
     "CorrelationTriple",
@@ -39,9 +39,9 @@ __all__ = [
     "VarianceProfile",
     "combined_sd",
     "contrast",
-    "closed_form_infimum_sq",
     "elliptope_det",
     "exact_infimum_sq",
+    "independence_variance",
     "is_interior",
     "paper_lower_bound_sq",
     "variance_profile",
@@ -52,11 +52,7 @@ RADICAND_TOL = 1e-12
 
 
 class GeometryError(RuntimeError):
-    """Internal inconsistency or non-convergence in the geometry layer."""
-
-    def __init__(self, message, best_bound=None):
-        super().__init__(message)
-        self.best_bound = best_bound
+    """Internal inconsistency in the geometry layer."""
 
 
 def elliptope_det(rho) -> float:
@@ -80,7 +76,7 @@ class CorrelationTriple:
     """An admissible correlation triple (strict interior point).
 
     Boundary points (``det == 0`` or ``|rho_i| == 1``) are deliberately not
-    representable: the optimizer searches the closure with raw floats, but
+    representable: the variance floor is attained on the closure, but
     model parameters must be proper correlation matrices.
     """
 
@@ -99,6 +95,12 @@ class CorrelationTriple:
         return iter((self.rho1, self.rho2, self.rho3))
 
 
+def independence_variance(sds) -> float:
+    """``s0^2 = s1^2 + 4*s2^2 + s3^2``: the contrast variance at rho = 0."""
+    s1, s2, s3 = sds
+    return s1 * s1 + 4.0 * s2 * s2 + s3 * s3
+
+
 def combined_sd(rho, sds) -> float:
     """Plug-in standard deviation s(rho) of the scaled contrast.
 
@@ -109,7 +111,7 @@ def combined_sd(rho, sds) -> float:
     r1, r2, r3 = rho
     s1, s2, s3 = sds
     radicand = (
-        s1 * s1 + 4.0 * s2 * s2 + s3 * s3
+        independence_variance(sds)
         - 4.0 * s1 * s2 * r3 + 2.0 * s1 * s3 * r2 - 4.0 * s2 * s3 * r1
     )
     if radicand < -RADICAND_TOL:
@@ -149,175 +151,43 @@ def paper_lower_bound_sq(sds) -> float:
     return min(first, second)
 
 
-def closed_form_infimum_sq(sds) -> float:
-    """Closed-form candidate for the exact constrained infimum.
+def exact_infimum_sq(sds) -> float:
+    """Infimum of s^2(rho) over the variance-reducing admissible region.
 
     Writing ``w = (s1, 2*s2, s3)``, the value is
-    ``max(0, 2*max(w) - (w1 + w2 + w3))^2``: the squared minimum length of
-    a sum of three planar vectors with those lengths (zero when they can
-    close a triangle, the deficit otherwise).  This formula is a derived
-    conjecture; the test suite gates it against :func:`exact_infimum_sq`
-    rather than assuming it.
-    """
-    s1, s2, s3 = sds
-    w = (s1, 2.0 * s2, s3)
-    deficit = 2.0 * max(w) - (w[0] + w[1] + w[2])
-    return max(0.0, deficit) ** 2
+    ``max(0, 2*max(w) - (w1 + w2 + w3))^2``.
 
+    Proof.  Every positive semidefinite correlation matrix is the Gram
+    matrix of three unit vectors ``v1, v2, v3`` (and every such Gram matrix
+    is one), with ``rho1 = <v2, v3>``, ``rho2 = <v1, v3>``,
+    ``rho3 = <v1, v2>``.  Expanding the square shows
 
-# --- numeric minimization over the boundary of the correlation body ------
-#
-# s^2(rho) is linear in rho with strictly negative coefficient on rho3
-# (and nonzero on the others), so its minimum over the closed body is
-# attained on the boundary det == 0, the rank-<=2 correlation matrices.
-# Those are exactly the Gram matrices of three unit vectors in the plane:
-# with angles (u, w, 0) for the three cells,
-#
-#     rho1 = cos(u),  rho2 = cos(w),  rho3 = cos(u - w),
-#
-# which turns the problem into the unconstrained smooth minimization of
-#
-#     g(u, w) = c1*cos(u) + c2*cos(w) + c3*cos(u - w),
-#     c1 = -4 s2 s3,  c2 = 2 s1 s3,  c3 = -4 s1 s2,
-#
-# over the torus (g is invariant under (u, w) -> (-u, -w), so u may be
-# restricted to [0, pi]).  A uniform angle grid locates the basin; note
-# that a grid in rho itself under-resolves the surface near |rho_i| = 1,
-# where d(rho)/d(angle) vanishes, and provably misses minimizers there.
-#
-# Refinement alternates exact single-angle minimizations (each coordinate
-# section is A*cos + B*sin, minimized in closed form) and finishes with a
-# damped Newton polish for valley geometries where coordinate steps zigzag.
+        s^2(rho) = |s1*v1 - 2*s2*v2 + s3*v3|^2,
 
-_N_U = 316   # ~0.01 rad over [0, pi]
-_N_W = 630   # ~0.01 rad over [-pi, pi]
-_U_GRID = np.linspace(0.0, math.pi, _N_U)
-_W_GRID = np.linspace(-math.pi, math.pi, _N_W)
-_COS_U = np.cos(_U_GRID)[:, None]
-_COS_W = np.cos(_W_GRID)[None, :]
-_COS_UW = _COS_U * _COS_W + np.sin(_U_GRID)[:, None] * np.sin(_W_GRID)[None, :]
-_W_HALF = _N_W // 2  # _W_GRID[:_W_HALF] < 0 <= _W_GRID[_W_HALF:]
+    the squared length of a sum of three vectors with lengths ``w``.  By
+    the triangle inequality that length is at least ``max(w)`` minus the
+    other two lengths, and never negative.  Both bounds are attained: when
+    the longest vector outweighs the other two, point them all along one
+    line against it (a rank-1 Gram matrix); otherwise the lengths obey the
+    triangle inequalities and the three vectors close a planar triangle (a
+    rank-<=2 Gram matrix).  So the minimum over the closed correlation
+    body is the formula above.
 
-
-def _refine(c1, c2, c3, u, w, scale, tol):
-    cos, sin, atan2 = math.cos, math.sin, math.atan2
-
-    def g(u, w):
-        return c1 * cos(u) + c2 * cos(w) + c3 * cos(u - w)
-
-    fx = g(u, w)
-    gain = math.inf  # objective decrease achieved by the most recent step
-    for _ in range(300):
-        # exact coordinate minimizers: the u-section of g is
-        # (c1 + c3*cos w)*cos u + (c3*sin w)*sin u, and symmetrically in w
-        u = atan2(-c3 * sin(w), -(c1 + c3 * cos(w)))
-        w = atan2(-c3 * sin(u), -(c2 + c3 * cos(u)))
-        fn = g(u, w)
-        gain = fx - fn
-        fx = min(fx, fn)
-        if gain < 1e-13 * scale:
-            break
-    for _ in range(100):
-        su, sw, suw = sin(u), sin(w), sin(u - w)
-        gu = -c1 * su - c3 * suw
-        gw = -c2 * sw + c3 * suw
-        if gu * gu + gw * gw <= (1e-12 * scale) ** 2:
-            gain = 0.0
-            break
-        cuw = cos(u - w)
-        huu = -c1 * cos(u) - c3 * cuw
-        hww = -c2 * cos(w) - c3 * cuw
-        huw = c3 * cuw
-        det = huu * hww - huw * huw
-        if det > 1e-16 * scale * scale and huu > 0.0:
-            du = -(hww * gu - huw * gw) / det
-            dw = -(-huw * gu + huu * gw) / det
-        else:
-            # indefinite curvature (saddle region): steepest descent with a
-            # fixed trial arc length, backtracked below
-            norm = math.hypot(gu, gw)
-            du, dw = -0.25 * gu / norm, -0.25 * gw / norm
-        step, moved = 1.0, False
-        for _ in range(40):
-            fn = g(u + step * du, w + step * dw)
-            if fn < fx:
-                gain = fx - fn
-                u, w, fx = u + step * du, w + step * dw, fn
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            # no float-representable decrease along the model direction:
-            # the point is a local minimum at machine resolution
-            gain = 0.0
-            break
-    # converged when the final step could no longer move the value by more
-    # than the agreement tolerance (scale-aware floor for huge inputs)
-    converged = gain <= max(tol, 1e-12 * scale)
-    return fx, converged
-
-
-def exact_infimum_sq(sds, tol: float = 1e-6) -> float:
-    """Numeric infimum of s^2(rho) over the variance-reducing region.
-
-    Minimizes the plug-in contrast variance over the closure of the
-    admissible correlation region intersected with
-    ``s(rho) <= s(0, 0, 0)``; by continuity this equals the infimum over
-    the open region.  The reduced-variance constraint is verified at the
-    minimizer (it is provably inactive: the minimum of a nonconstant
-    linear function cannot sit at the interior independence point).
-
-    Deterministic: grid reduction uses first-minimum tie-breaking in
-    row-major (u, w) order, so results do not depend on evaluation order.
-
-    Raises :class:`GeometryError` carrying ``best_bound`` if the iteration
-    budget is exhausted before the improvement drops below *tol*.
+    The model's region is the open interior, so the quantity is an
+    infimum: ``s^2`` is continuous (linear in rho) and the interior is
+    dense in the closed convex body, so the infimum over the open region
+    equals the minimum over its closure.  The reduced-variance constraint
+    ``s(rho) <= s(0, 0, 0)`` never binds: along the segment from the
+    interior independence point to a minimizer, ``s^2`` is linear and ends
+    at its minimum, so every point of the segment except the endpoint is
+    interior and satisfies the constraint.
     """
     s1, s2, s3 = sds
     if not (s1 > 0 and s2 > 0 and s3 > 0):
         raise ValueError("sds must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s0_sq = s1 * s1 + 4.0 * s2 * s2 + s3 * s3
-    c1 = -4.0 * s2 * s3
-    c2 = 2.0 * s1 * s3
-    c3 = -4.0 * s1 * s2
-    scale = abs(c1) + abs(c2) + abs(c3)
-
-    grid = _COS_UW * c3
-    grid += c1 * _COS_U
-    grid += c2 * _COS_W
-
-    # seed one refinement per w half-plane (the two root branches of the
-    # det == 0 surface) so a shallow second basin cannot be missed
-    candidates = []
-    for lo, hi in ((_W_HALF, _N_W), (0, _W_HALF)):
-        block = grid[:, lo:hi]
-        k = int(np.argmin(block))
-        i, j = divmod(k, block.shape[1])
-        candidates.append(
-            _refine(c1, c2, c3, float(_U_GRID[i]), float(_W_GRID[lo + j]), scale, tol)
-        )
-    best, best_converged = min(candidates, key=lambda c: (c[0], not c[1]))
-
-    value = max(0.0, s0_sq + best)
-    # a variance infimum cannot be negative, so touching zero is the floor;
-    # otherwise the winning refinement itself must have converged (a stalled
-    # losing seed only ever provided a dominated candidate)
-    converged = best_converged or s0_sq + best <= 1e-12 * max(1.0, s0_sq)
-    if not converged:
-        raise GeometryError(
-            f"infimum search did not converge within the iteration budget "
-            f"for sds={tuple(sds)}; best bound found: {value}",
-            best_bound=value,
-        )
-    # reduced-variance constraint, checked rather than assumed
-    if value > s0_sq * (1.0 + 1e-12) + 1e-12:
-        raise GeometryError(
-            f"minimizer violates s(rho) <= s(0,0,0): {value} > {s0_sq}",
-            best_bound=value,
-        )
-    return value
+    w = (s1, 2.0 * s2, s3)
+    deficit = 2.0 * max(w) - (w[0] + w[1] + w[2])
+    return max(0.0, deficit) ** 2
 
 
 @dataclass(frozen=True)
@@ -325,7 +195,7 @@ class VarianceProfile:
     """Derived scale quantities of one study.
 
     ``s0_sq`` is the contrast variance at independence, ``paper_lower_sq``
-    the computable lower-bound proxy, ``exact_lower_sq`` the numeric
+    the computable lower-bound proxy, ``exact_lower_sq`` the closed-form
     constrained infimum, ``z`` the mean contrast and ``nz_sq = n * z^2``.
     The chain ``exact_lower_sq <= paper_lower_sq <= s0_sq`` always holds.
     """
@@ -338,29 +208,23 @@ class VarianceProfile:
 
 
 def variance_profile(study) -> VarianceProfile:
-    """Compute the full variance profile of a validated study."""
-    from .ledger import LedgerError, validate
+    """Validate *study* and compute its full variance profile.
 
+    Raises :class:`~evidential.ledger.LedgerError` naming the study when
+    it violates a ledger invariant.
+    """
     problems = validate(study)
     if problems:
         raise LedgerError(
             f"study '{study.id}': " + "; ".join(problems), study_id=study.id
         )
-    s1, s2, s3 = study.sds
-    s0_sq = s1 * s1 + 4.0 * s2 * s2 + s3 * s3
     paper_sq = paper_lower_bound_sq(study.sds)
-    exact_sq = exact_infimum_sq(study.sds)
-    if exact_sq > paper_sq + 1e-6 * max(1.0, s0_sq):
-        raise GeometryError(
-            f"numeric infimum {exact_sq} exceeds its provable upper bound "
-            f"{paper_sq} for study '{study.id}'",
-            best_bound=exact_sq,
-        )
-    # the bound-proxy dominates the infimum exactly; clip solver epsilon
-    exact_sq = min(exact_sq, paper_sq)
+    # the proxy dominates the infimum in exact arithmetic, but the two
+    # formulas round differently; the clip keeps the chain exact in floats
+    exact_sq = min(exact_infimum_sq(study.sds), paper_sq)
     z = contrast(study.means)
     return VarianceProfile(
-        s0_sq=s0_sq,
+        s0_sq=independence_variance(study.sds),
         paper_lower_sq=paper_sq,
         exact_lower_sq=exact_sq,
         z=z,

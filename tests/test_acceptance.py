@@ -20,16 +20,12 @@ from evidential.engine import (
     z_c_statistic,
     z_v_statistic,
 )
-from evidential.geometry import (
-    closed_form_infimum_sq,
-    exact_infimum_sq,
-    paper_lower_bound_sq,
-)
+from evidential.geometry import exact_infimum_sq, paper_lower_bound_sq
 from evidential.geometry import CorrelationTriple
 from evidential.ledger import StudySummary
 from evidential.simulate import ModelParams, generate_errors, null_exceedance
 
-from helpers import random_study
+from helpers import numeric_infimum_sq, random_study
 
 INF = math.inf
 
@@ -144,8 +140,8 @@ def test_criterion_4_optimizer_oracle_equivalence():
     solver_slack_ok = True
     for _ in range(1000):
         sds = tuple(rng.uniform(0.1, 10.0, 3).tolist())
-        numeric = exact_infimum_sq(sds)
-        closed = closed_form_infimum_sq(sds)
+        numeric = numeric_infimum_sq(sds)
+        closed = exact_infimum_sq(sds)
         worst_gap = max(worst_gap, abs(numeric - closed))
         paper = paper_lower_bound_sq(sds)
         s1, s2, s3 = sds
@@ -153,7 +149,7 @@ def test_criterion_4_optimizer_oracle_equivalence():
         # raw solver output may exceed the provable bound only by epsilon
         solver_slack_ok = solver_slack_ok and numeric <= paper + 1e-9
         # the reported (profile) chain must hold to 1e-12
-        reported = min(numeric, paper)
+        reported = min(closed, paper)
         chain_ok = chain_ok and (
             reported <= paper + 1e-12 and paper <= s0_sq + 1e-12
         )

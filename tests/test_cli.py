@@ -5,8 +5,8 @@ import math
 import pytest
 
 from evidential.cli import build_parser, main, render_value
-from evidential.engine import Case, EvidentialValue, Mode
-from evidential.ledger import serialize_ledger
+from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
+from evidential.ledger import StudyLedger, StudySummary, serialize_ledger
 
 INF = math.inf
 
@@ -100,6 +100,23 @@ def test_compute_footer_reports_products_and_tail(reference_csv):
     # non-integer n rows carry a note marker and a notes section
     assert "notes:" in out
     assert "not an integer" in out
+
+
+def test_compute_footer_renders_products_beyond_default_decimal_precision(
+    tmp_path, suspect
+):
+    # 50 copies of study 1 (V = 3.92) multiply to ~4.6e29: a finite product
+    # with more integer digits than the default decimal context holds
+    row = suspect.studies[0]
+    studies = [StudySummary(f"r{k}", row.n, row.means, row.sds) for k in range(50)]
+    path = tmp_path / "many.csv"
+    path.write_text(serialize_ledger(StudyLedger(studies)), encoding="utf-8")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert code == 0 and err == ""
+    product = combine([evidential_value(s, Mode.PAPER) for s in studies]).product_lower
+    assert 1e26 <= product < INF
+    line = next(l for l in out.splitlines() if l.startswith("product V: "))
+    assert float(line.removeprefix("product V: ")) == pytest.approx(product, rel=1e-12)
 
 
 def test_compute_json_round_trips(suspect_csv, suspect):

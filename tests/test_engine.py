@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from evidential.engine import (
     z_c_statistic,
     z_v_statistic,
 )
+from evidential import ledger
 from evidential.ledger import LedgerError, StudySummary
 
 from helpers import random_study
@@ -86,7 +88,7 @@ def test_kanten_l_value(by_id):
 
 
 def test_row6_exact_point(by_id):
-    # the numeric floor coincides with the proxy here, so the exact value
+    # the exact floor coincides with the proxy here, so the exact value
     # is the proxy-floor density ratio: 4.947601892391487
     ev = evidential_value(by_id["6"], Mode.EXACT)
     assert ev.is_point and ev.case is Case.BELOW
@@ -114,6 +116,27 @@ def test_invalid_study_is_rejected():
     bad = StudySummary("b", -1, (1, 2, 3), (1, 1, 1))
     with pytest.raises(LedgerError, match="n must be positive"):
         evidential_value(bad)
+
+
+def test_each_mode_validates_a_study_once(monkeypatch, suspect):
+    calls = []
+    original = ledger.validate
+
+    def counting(study):
+        calls.append(study.id)
+        return original(study)
+
+    # rebind every module-level name of validate, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name == "evidential" or name.startswith("evidential."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    for mode in (Mode.PAPER, Mode.EXACT):
+        calls.clear()
+        for study in suspect:
+            evidential_value(study, mode)
+        assert calls == [s.id for s in suspect], mode
 
 
 # --- contrast statistics --------------------------------------------------

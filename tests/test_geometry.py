@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from evidential.geometry import (
     CorrelationTriple,
     GeometryError,
-    closed_form_infimum_sq,
     combined_sd,
     contrast,
     elliptope_det,
@@ -19,7 +18,12 @@ from evidential.geometry import (
 )
 from evidential.ledger import LedgerError, StudySummary
 
-from helpers import brute_force_infimum_sq, random_interior_rho, random_sds
+from helpers import (
+    brute_force_infimum_sq,
+    numeric_infimum_sq,
+    random_interior_rho,
+    random_sds,
+)
 
 rho_component = st.floats(-1.5, 1.5, allow_nan=False)
 
@@ -115,7 +119,7 @@ def test_exact_infimum_examples_against_both_oracles():
         got = exact_infimum_sq(sds)
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(brute_force_infimum_sq(sds), abs=1e-6)
-        assert got == pytest.approx(closed_form_infimum_sq(sds), abs=1e-6)
+        assert got == pytest.approx(numeric_infimum_sq(sds), abs=1e-6)
 
 
 def test_exact_infimum_matches_brute_force_on_random_triples():
@@ -132,7 +136,7 @@ def test_exact_infimum_matches_closed_form_quick():
     for _ in range(200):
         sds = random_sds(rng)
         assert exact_infimum_sq(sds) == pytest.approx(
-            closed_form_infimum_sq(sds), abs=1e-4
+            numeric_infimum_sq(sds), abs=1e-4
         )
 
 
@@ -140,7 +144,7 @@ def test_exact_infimum_input_checks():
     with pytest.raises(ValueError, match="sds must be positive"):
         exact_infimum_sq((1.0, -1.0, 1.0))
     with pytest.raises(ValueError, match="tol must be positive"):
-        exact_infimum_sq((1.0, 1.0, 1.0), tol=0.0)
+        numeric_infimum_sq((1.0, 1.0, 1.0), tol=0.0)
 
 
 def test_variance_reduction_floor_property():

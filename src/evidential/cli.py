@@ -177,8 +177,9 @@ def cmd_compute(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        text = open(args.input, encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.input, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         err.write(f"error: cannot read {args.input}: {exc}\n")
         return EXIT_INPUT
     led, errors = ledger.parse_ledger_lenient(text, source=args.input)

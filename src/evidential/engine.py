@@ -168,30 +168,31 @@ def z_c_statistic(study) -> float:
 def threshold_ratio(v: float) -> float:
     """Invert the middle-regime value: largest |Z_V| still giving V >= v.
 
-    Solves ``t^(-1/2) * exp((t - 1)/2) = v`` for ``t = n*z^2/s0^2`` in
-    (0, 1] by bisection (the left side falls from +inf to 1 there) and
-    returns sqrt(t); then ``V >= v`` iff ``|Z_V| <= threshold_ratio(v)``.
+    With ``r = sqrt(n*z^2/s0^2)`` in (0, 1] the middle-regime value is
+    ``V = exp(-log(r) + (r^2 - 1)/2)``, which falls from +inf to 1.  The
+    root of ``h(u) = -u + expm1(2*u)/2 - log(v)`` in ``u = log(r)`` is
+    found by bisection down to adjacent floats, so the result is accurate
+    to a few ulps of ``u`` for any finite v > 1, also where ``r^2``
+    underflows; then ``V >= v`` iff ``|Z_V| <= threshold_ratio(v)``.
     """
-    if not v > 1.0:
-        raise ValueError("v must exceed 1")
+    if not 1.0 < v < math.inf:
+        raise ValueError("v must exceed 1 and be finite")
     log_v = math.log(v)
 
-    def f(t):
-        return -0.5 * math.log(t) + 0.5 * (t - 1.0) - log_v
+    def h(u):
+        return -u + 0.5 * math.expm1(2.0 * u) - log_v
 
-    lo = 0.5
-    while f(lo) <= 0.0:
-        lo *= 0.5
-    # bisection on [lo, 1], where f(lo) > 0 > f(1)
-    half = 1.0 - lo
+    # h decreases on u <= 0; h(0) < 0, and h(u) > -u - 1/2 - log(v) >= 0
+    # at the left end of the bracket
+    lo, hi = -1.0 - log_v, 0.0
     while True:
-        half *= 0.5
-        t = lo + half
-        f_t = f(t)
-        if f_t >= 0.0:
-            lo = t
-        if f_t == 0.0 or half < 1e-15 + 1e-13 * t:
-            return math.sqrt(t)
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return math.exp(lo)
+        if h(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def null_tail_probability(v: float) -> float:

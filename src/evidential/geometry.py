@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 
-from .ledger import LedgerError, validate
+from .ledger import require_valid
 
 __all__ = [
     "CorrelationTriple",
@@ -49,6 +49,10 @@ __all__ = [
 
 #: tolerated negative radicand before declaring an internal inconsistency
 RADICAND_TOL = 1e-12
+
+#: adds and subtracts the decimal forms of a few floats exactly (17
+#: significant digits at decimal exponents from -324 to 308)
+_EXACT = Context(prec=700)
 
 
 class GeometryError(RuntimeError):
@@ -187,6 +191,13 @@ def exact_infimum_sq(sds) -> float:
         raise ValueError("sds must be positive")
     w = (s1, 2.0 * s2, s3)
     deficit = 2.0 * max(w) - (w[0] + w[1] + w[2])
+    if abs(deficit) <= 1e-12 * max(w):
+        # too close to zero for the float sign, which roundoff can flip:
+        # decide in decimal, like the contrast, so that sds whose printed
+        # decimals close a triangle give an exact zero floor
+        d1, d2, d3 = (Decimal(repr(float(s))) for s in sds)
+        low, mid, high = sorted((d1, 2 * d2, d3))
+        deficit = float(_EXACT.subtract(_EXACT.subtract(high, mid), low))
     return max(0.0, deficit) ** 2
 
 
@@ -213,11 +224,7 @@ def variance_profile(study) -> VarianceProfile:
     Raises :class:`~evidential.ledger.LedgerError` naming the study when
     it violates a ledger invariant.
     """
-    problems = validate(study)
-    if problems:
-        raise LedgerError(
-            f"study '{study.id}': " + "; ".join(problems), study_id=study.id
-        )
+    require_valid(study)
     paper_sq = paper_lower_bound_sq(study.sds)
     # the proxy dominates the infimum in exact arithmetic, but the two
     # formulas round differently; the clip keeps the chain exact in floats

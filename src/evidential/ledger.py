@@ -103,118 +103,164 @@ def study_warnings(study: StudySummary) -> list[str]:
     return notes
 
 
-def _parse_n(cell: str) -> float:
-    # "141/6" style quotients are accepted for n only.
-    if "/" in cell:
-        num, _, den = cell.partition("/")
-        return float(Fraction(int(num.strip()), int(den.strip())))
-    return float(cell)
+def require_valid(study: StudySummary, row=None) -> None:
+    """Raise one :class:`LedgerError` naming every violation of *study*."""
+    problems = validate(study)
+    if problems:
+        raise LedgerError(
+            f"study '{study.id}': " + "; ".join(problems), row=row, study_id=study.id
+        )
 
 
-def _parse_csv(text: str, source: str):
-    studies: list[StudySummary] = []
-    errors: list[LedgerError] = []
-    seen: dict[str, int] = {}
+def _number(cell, quotient: bool):
+    """A cell as a float, or None when it holds no number.
+
+    A cell is text or a JSON number; bools and other JSON values hold no
+    number.  Text like ``141/6`` is an exact quotient where *quotient* is
+    set (the ``n`` column).
+    """
+    kind = type(cell)
+    try:
+        if kind is float or kind is int:
+            return float(cell)
+        if kind is str:
+            if quotient and "/" in cell:
+                num, _, den = cell.partition("/")
+                return float(Fraction(int(num), int(den)))
+            return float(cell)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    return None
+
+
+def _csv_rows(text: str, source: str):
+    """The data lines under the mandatory header, as ``(where, row, cells)``."""
+    rows = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         cells = [c.strip() for c in line.split(",")]
-        if not header_seen:
-            if tuple(c.lower() for c in cells) != COLUMNS:
-                raise LedgerError(
-                    f"row {lineno}: header must be '{','.join(COLUMNS)}', got '{line}'",
-                    row=lineno,
-                )
+        if header_seen:
+            rows.append((f"row {lineno}", lineno, cells))
+        elif tuple(c.lower() for c in cells) == COLUMNS:
             header_seen = True
+        else:
+            raise LedgerError(
+                f"row {lineno}: header must be '{','.join(COLUMNS)}', got '{line}'",
+                row=lineno,
+            )
+    if not header_seen:
+        raise LedgerError(f"{source}: no header row found; expected '{','.join(COLUMNS)}'")
+    return rows
+
+
+def _json_cells(where: str, entry):
+    """One ``studies`` entry as ``COLUMNS`` cells, or the error it makes."""
+    if not isinstance(entry, dict):
+        return LedgerError(f"{where}: expected an object with keys id, n, means, sds")
+    for key in ("id", "n", "means", "sds"):
+        if key not in entry:
+            return LedgerError(f"{where}: missing key '{key}'")
+    means, sds = entry["means"], entry["sds"]
+    if not (isinstance(means, list) and isinstance(sds, list) and len(means) == len(sds) == 3):
+        return LedgerError(f"{where}: means and sds must be lists of three numbers")
+    return [str(entry["id"]), entry["n"], *means, *sds]
+
+
+def _json_rows(text: str, source: str):
+    """The entries of the ``studies`` list as ``(where, None, cells)``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LedgerError(f"{source}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("studies"), list):
+        raise LedgerError(f"{source}: a JSON ledger must be an object with a 'studies' list")
+    rows = []
+    for k, entry in enumerate(doc["studies"]):
+        where = f"studies[{k}]"
+        rows.append((where, None, _json_cells(where, entry)))
+    return doc.get("source", source), rows
+
+
+def parse_ledger_lenient(text: str, source: str = "<string>"):
+    """Parse a ledger document (CSV dialect or JSON mapping) row by row.
+
+    Returns ``(ledger, errors)``: rows that fail to parse or validate, and
+    repeated ids, are dropped from the ledger and reported in *errors*;
+    well-formed rows survive.  Both formats share these row rules; a
+    malformed document (no or bad CSV header, invalid JSON, no ``studies``
+    list) yields no rows and one error.
+
+    CSV: UTF-8, comma-delimited, mandatory header ``id,n,x1,x2,x3,s1,s2,s3``,
+    comment lines start with ``#``; rows are named ``row N`` (1-based
+    input line).  JSON (sniffed by a leading ``{`` or ``[``):
+    ``{"studies": [{"id", "n", "means", "sds"}, ...]}`` with an optional
+    top-level ``source``; rows are named ``studies[k]``.  Cells are numbers
+    or their text; ``n`` also accepts quotients like ``141/6``.
+    """
+    try:
+        if text.lstrip()[:1] in ("{", "["):
+            source, rows = _json_rows(text, source)
+        else:
+            rows = _csv_rows(text, source)
+    except LedgerError as exc:
+        return StudyLedger(studies=(), source=source), [exc]
+    studies: list[StudySummary] = []
+    errors: list[LedgerError] = []
+    seen: dict[str, str] = {}
+    for where, row, cells in rows:
+        if isinstance(cells, LedgerError):
+            errors.append(cells)
             continue
         if len(cells) != len(COLUMNS):
             errors.append(
                 LedgerError(
-                    f"row {lineno}: expected {len(COLUMNS)} columns, got {len(cells)}",
-                    row=lineno,
+                    f"{where}: expected {len(COLUMNS)} columns, got {len(cells)}", row=row
                 )
             )
             continue
         study_id = cells[0]
-        values = {}
-        bad = False
-        for name, cell in zip(COLUMNS[1:], cells[1:]):
-            try:
-                values[name] = _parse_n(cell) if name == "n" else float(cell)
-            except (ValueError, ZeroDivisionError):
-                errors.append(
-                    LedgerError(
-                        f"row {lineno}, column {name}: could not parse '{cell}'",
-                        row=lineno,
-                        column=name,
-                        study_id=study_id,
-                    )
-                )
-                bad = True
-        if bad:
-            continue
-        study = StudySummary(
-            id=study_id,
-            n=values["n"],
-            means=(values["x1"], values["x2"], values["x3"]),
-            sds=(values["s1"], values["s2"], values["s3"]),
-        )
-        problems = validate(study)
-        if problems:
-            errors.append(
+        values = [_number(cell, name == "n") for name, cell in zip(COLUMNS[1:], cells[1:])]
+        if None in values:
+            errors += [
                 LedgerError(
-                    f"study '{study_id}': " + "; ".join(problems),
-                    row=lineno,
+                    f"{where}, column {name}: could not parse '{cell}'",
+                    row=row,
+                    column=name,
                     study_id=study_id,
                 )
-            )
+                for name, cell, value in zip(COLUMNS[1:], cells[1:], values)
+                if value is None
+            ]
+            continue
+        study = StudySummary(study_id, values[0], tuple(values[1:4]), tuple(values[4:]))
+        try:
+            require_valid(study, row=row)
+        except LedgerError as exc:
+            errors.append(exc)
             continue
         if study_id in seen:
             errors.append(
                 LedgerError(
-                    f"row {lineno}: duplicate study id '{study_id}' (first at row {seen[study_id]})",
-                    row=lineno,
+                    f"{where}: duplicate study id '{study_id}' (first at {seen[study_id]})",
+                    row=row,
                     study_id=study_id,
                 )
             )
             continue
-        seen[study_id] = lineno
+        seen[study_id] = where
         studies.append(study)
-    if not header_seen:
-        raise LedgerError(f"no header row found; expected '{','.join(COLUMNS)}'")
-    return studies, errors
+    return StudyLedger(studies=tuple(studies), source=source), errors
 
 
-def ledger_from_mapping(obj: dict, source: str = "<mapping>") -> StudyLedger:
-    """Build a ledger from the structured (JSON-shaped) form."""
-    if not isinstance(obj, dict) or "studies" not in obj:
-        raise LedgerError("mapping form requires a top-level 'studies' list")
-    studies = []
-    seen = set()
-    for k, entry in enumerate(obj["studies"]):
-        try:
-            n = entry["n"]
-            n = _parse_n(n) if isinstance(n, str) else float(n)
-            study = StudySummary(
-                id=str(entry["id"]),
-                n=n,
-                means=tuple(entry["means"]),
-                sds=tuple(entry["sds"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LedgerError(f"studies[{k}]: {exc}") from exc
-        problems = validate(study)
-        if problems:
-            raise LedgerError(
-                f"study '{study.id}': " + "; ".join(problems), study_id=study.id
-            )
-        if study.id in seen:
-            raise LedgerError(f"duplicate study id '{study.id}'", study_id=study.id)
-        seen.add(study.id)
-        studies.append(study)
-    return StudyLedger(studies=tuple(studies), source=obj.get("source", source))
+def parse_ledger(text: str, source: str = "<string>") -> StudyLedger:
+    """Like :func:`parse_ledger_lenient`, but raise its first error."""
+    ledger, errors = parse_ledger_lenient(text, source)
+    if errors:
+        raise errors[0]
+    return ledger
 
 
 def ledger_to_mapping(ledger: StudyLedger) -> dict:
@@ -225,41 +271,6 @@ def ledger_to_mapping(ledger: StudyLedger) -> dict:
             for s in ledger
         ],
     }
-
-
-def parse_ledger(text: str, source: str = "<string>") -> StudyLedger:
-    """Parse a ledger document (CSV dialect or JSON mapping).
-
-    CSV: UTF-8, comma-delimited, mandatory header ``id,n,x1,x2,x3,s1,s2,s3``,
-    comment lines start with ``#``.  The ``n`` column accepts quotients like
-    ``141/6``.  The first error encountered is raised; use
-    :func:`parse_ledger_lenient` to collect errors and keep valid rows.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return ledger_from_mapping(json.loads(text), source=source)
-    studies, errors = _parse_csv(text, source)
-    if errors:
-        raise errors[0]
-    return StudyLedger(studies=tuple(studies), source=source)
-
-
-def parse_ledger_lenient(text: str, source: str = "<string>"):
-    """Like :func:`parse_ledger` but returns ``(ledger, errors)``.
-
-    Rows that fail to parse or validate are dropped from the ledger and
-    reported in *errors*; well-formed rows survive.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return ledger_from_mapping(json.loads(text), source=source), []
-        except (LedgerError, json.JSONDecodeError) as exc:
-            if isinstance(exc, json.JSONDecodeError):
-                exc = LedgerError(f"invalid JSON: {exc}")
-            return StudyLedger(studies=(), source=source), [exc]
-    studies, errors = _parse_csv(text, source)
-    return StudyLedger(studies=tuple(studies), source=source), errors
 
 
 def serialize_ledger(ledger: StudyLedger) -> str:

@@ -21,15 +21,15 @@ product is dominated by the third coordinate; the independence null
 
 All randomness is drawn from numpy Generators seeded per replication with
 (seed, replication index), so Monte Carlo results are reproducible
-bit-for-bit regardless of how replications are scheduled.
+bit-for-bit regardless of how replications are scheduled.  numpy is
+imported on first use (the module attribute ``np``), so importing this
+module, and the commands that never simulate, need the stdlib only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import Mode, evidential_value
 from .geometry import CorrelationTriple
@@ -44,6 +44,25 @@ __all__ = [
     "null_exceedance",
     "simulate_study",
 ]
+
+
+def _numpy():
+    # the module global np, bound by the first call (or by whoever sets
+    # simulate.np first)
+    global np
+    try:
+        return np
+    except NameError:
+        import numpy as np
+
+        return np
+
+
+def __getattr__(name):
+    # reading simulate.np from outside loads numpy as well
+    if name == "np":
+        return _numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ParameterError(ValueError):
@@ -113,6 +132,7 @@ def generate_errors(params: ModelParams, seed) -> np.ndarray:
     :func:`numpy.random.default_rng`).  Draw order is fixed: shared column
     draws U, private draws V, then the copy indicators.
     """
+    np = _numpy()
     probs = copy_probabilities(params.rho)
     rng = np.random.default_rng(seed)
     n = params.n
@@ -131,6 +151,7 @@ def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummar
     if params.n < 2:
         raise ParameterError("n >= 2 required for sample sd")
     eps = generate_errors(params, seed)
+    np = _numpy()
     data = np.asarray(params.mu)[:, None] + eps
     means = data.mean(axis=1)
     sds = data.std(axis=1, ddof=1)

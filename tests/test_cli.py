@@ -9,6 +9,7 @@ from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_v
 from evidential.ledger import StudyLedger, StudySummary, serialize_ledger
 
 INF = math.inf
+HEADER_LINE = b"id,n,x1,x2,x3,s1,s2,s3\n"
 
 
 @pytest.fixture()
@@ -171,6 +172,27 @@ def test_compute_empty_ledger(tmp_path):
     path.write_text("id,n,x1,x2,x3,s1,s2,s3\n", encoding="utf-8")
     code, out, err = run(["compute", "--input", str(path)])
     assert code == 2 and "no studies" in err and out == ""
+
+
+MALFORMED_LEDGERS = {
+    # file name: (content, what the diagnostic names)
+    "bad_header.csv": (b"idx,n,x1\n1,2,3\n", "row 1: header must be"),
+    "no_header.csv": (b"# nothing but a comment\n", "no_header.csv: no header row"),
+    "array.json": (b"[1,2]\n", "array.json: a JSON ledger must be an object"),
+    "latin1.csv": (HEADER_LINE + "Müller,20,1,2,3,1,1,1\n".encode("latin-1"), "cannot read"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LEDGERS))
+def test_compute_malformed_ledger_is_an_input_error(tmp_path, name):
+    content, names = MALFORMED_LEDGERS[name]
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(["compute", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and names in err
+    if names == "cannot read":
+        assert str(path) in err
 
 
 def test_compute_partial_output_and_strict(tmp_path):

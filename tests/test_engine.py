@@ -178,9 +178,11 @@ def test_threshold_approaches_one_from_below():
 
 
 def test_threshold_forward_round_trip():
-    for v in (1.5, 2.0, 3.0, 10.0, 123.0):
-        t = threshold_ratio(v) ** 2
-        assert _point_value(t, 1.0) == pytest.approx(v, rel=1e-9)
+    for v in (1.5, 2.0, 3.0, 10.0, 123.0, 1e4, 1e7, 1e20, 1e200):
+        # the middle-regime value at r = sqrt(t), written in r: t = r^2
+        # underflows for the largest v
+        r = threshold_ratio(v)
+        assert math.exp(0.5 * (r * r - 1.0)) / r == pytest.approx(v, rel=1e-9), v
 
 
 def test_threshold_domain_error():
@@ -188,6 +190,9 @@ def test_threshold_domain_error():
         threshold_ratio(1.0)
     with pytest.raises(ValueError):
         threshold_ratio(0.5)
+    for v in (INF, math.nan):
+        with pytest.raises(ValueError):
+            threshold_ratio(v)
 
 
 def test_null_tail_values():

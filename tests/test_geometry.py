@@ -113,11 +113,13 @@ def test_paper_lower_bound_picks_the_smaller_candidate():
 
 
 def test_exact_infimum_examples_against_both_oracles():
-    cases = [(1.07, 1.21, 0.82), (1.24, 1.09, 1.53), (1.0, 1.0, 1.0)]
-    expected = [0.2809, 0.0, 0.0]
+    # the last sds close a triangle in decimal: w = (13.39, 8.58, 4.81)
+    cases = [(1.07, 1.21, 0.82), (1.24, 1.09, 1.53), (1.0, 1.0, 1.0), (13.39, 4.29, 4.81)]
+    expected = [0.2809, 0.0, 0.0, 0.0]
     for sds, want in zip(cases, expected):
         got = exact_infimum_sq(sds)
         assert got == pytest.approx(want, abs=1e-6)
+        assert (got == 0.0) == (want == 0.0), sds
         assert got == pytest.approx(brute_force_infimum_sq(sds), abs=1e-6)
         assert got == pytest.approx(numeric_infimum_sq(sds), abs=1e-6)
 

@@ -25,16 +25,11 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_geometry_imports_without_numpy():
-    # a bare package object skips evidential/__init__.py (which loads the
-    # numpy-based simulator); a None entry makes any numpy import fail
+def test_cli_import_loads_no_numpy():
+    # only simulate needs numpy, and it imports it on first use
     proc = _run(
-        "import sys, types\n"
-        "package = types.ModuleType('evidential')\n"
-        "package.__path__ = [sys.argv[1]]\n"
-        "sys.modules['evidential'] = package\n"
-        "sys.modules['numpy'] = None\n"
-        "import evidential.geometry\n",
-        evidential.__path__[0],
+        "import sys, evidential.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -17,6 +18,37 @@ from evidential.ledger import (
 
 HEADER = ",".join(COLUMNS)
 
+GOOD = StudySummary("good", 20, (1, 2, 3), (1, 1, 1))
+BAD_SD = StudySummary("bad", 20, (1, 2, 3), (1, 0, 1))
+ALSO_GOOD = StudySummary("also-good", 15, (1, 2, 3), (2, 2, 2))
+
+#: each format with the name its errors give the k-th study (0-based)
+FORMATS = (("csv", lambda k: f"row {k + 2}"), ("json", lambda k: f"studies[{k}]"))
+
+
+def render(fmt, studies, edits=()):
+    """*studies* as CSV (``serialize_ledger``) or JSON (``ledger_to_mapping``).
+
+    Each ``(k, column, cell)`` edit replaces one cell of the k-th study:
+    with the text of *cell* in CSV, with the JSON value *cell* in JSON.
+    """
+    ledger = StudyLedger(tuple(studies))
+    if fmt == "csv":
+        lines = serialize_ledger(ledger).splitlines()
+        for k, column, cell in edits:
+            cells = lines[k + 1].split(",")
+            cells[COLUMNS.index(column)] = str(cell)
+            lines[k + 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    doc = ledger_to_mapping(ledger)
+    for k, column, cell in edits:
+        entry, i = doc["studies"][k], COLUMNS.index(column)
+        if i < 2:
+            entry[column] = cell
+        else:
+            entry["means" if i < 5 else "sds"][(i - 2) % 3] = cell
+    return json.dumps(doc)
+
 
 def test_parse_single_row_with_spaces():
     text = HEADER + "\n1, 20, 2.47,3.04,3.68, 1.21,0.72,0.68\n"
@@ -33,6 +65,12 @@ def test_parse_rational_n():
     text = HEADER + "\nHagtvedt-l, 141/6, 4.39,3.97,3.84, 0.76,1.26,1.14\n"
     led = parse_ledger(text)
     assert led.studies[0].n == 23.5
+    for fmt, where in FORMATS:
+        led = parse_ledger(render(fmt, [GOOD], [(0, "n", "141/6")]))
+        assert led.studies[0].n == 23.5, fmt
+        # quotients are read in the n column only
+        with pytest.raises(LedgerError, match=re.escape(f"{where(0)}, column x1")):
+            parse_ledger(render(fmt, [GOOD], [(0, "x1", "141/6")]))
 
 
 def test_parse_rejects_zero_sd():
@@ -49,12 +87,51 @@ def test_parse_errors_name_row_and_column():
     text = HEADER + "\nok,20,1,2,x,1,1,1\n"
     with pytest.raises(LedgerError, match="row 2, column x3"):
         parse_ledger(text)
+    for fmt, where in FORMATS:
+        text = render(fmt, [GOOD, ALSO_GOOD], [(1, "x3", "x")])
+        with pytest.raises(LedgerError, match=re.escape(f"{where(1)}, column x3")) as exc:
+            parse_ledger(text)
+        assert exc.value.column == "x3" and exc.value.study_id == "also-good"
+        # every unparseable cell of a row is reported
+        _, errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "?"), (0, "s2", "")]))
+        assert [e.column for e in errors] == ["n", "s2"], fmt
+
+
+def test_json_refuses_what_is_not_a_number_or_a_row():
+    # bools and nulls are not numbers
+    for column, cell in (("n", True), ("s3", False), ("x2", None)):
+        text = render("json", [GOOD, ALSO_GOOD], [(1, column, cell)])
+        with pytest.raises(LedgerError, match=re.escape(f"studies[1], column {column}")):
+            parse_ledger(text)
+    # a string is not a list of means, and every key is required
+    doc = ledger_to_mapping(StudyLedger((GOOD, ALSO_GOOD)))
+    doc["studies"][1]["means"] = "123"
+    with pytest.raises(LedgerError, match=re.escape("studies[1]: means and sds must be lists")):
+        parse_ledger(json.dumps(doc))
+    for key in ("id", "n", "means", "sds"):
+        doc = ledger_to_mapping(StudyLedger((GOOD, ALSO_GOOD)))
+        del doc["studies"][1][key]
+        led, errors = parse_ledger_lenient(json.dumps(doc))
+        assert [s.id for s in led] == ["good"]
+        assert [str(e) for e in errors] == [f"studies[1]: missing key '{key}'"]
+    doc["studies"][1] = [1, 2, 3]
+    with pytest.raises(LedgerError, match=re.escape("studies[1]: expected an object")):
+        parse_ledger(json.dumps(doc))
 
 
 def test_parse_rejects_duplicate_ids():
     text = HEADER + "\na,20,1,2,3,1,1,1\na,20,1,2,3,1,1,1\n"
     with pytest.raises(LedgerError, match="duplicate study id 'a'"):
         parse_ledger(text)
+    for fmt, where in FORMATS:
+        text = render(fmt, [GOOD, ALSO_GOOD, GOOD])
+        with pytest.raises(LedgerError, match="duplicate study id 'good'"):
+            parse_ledger(text)
+        led, errors = parse_ledger_lenient(text)
+        assert [s.id for s in led] == ["good", "also-good"]
+        assert [str(e) for e in errors] == [
+            f"{where(2)}: duplicate study id 'good' (first at {where(0)})"
+        ]
 
 
 def test_parse_requires_header():
@@ -62,6 +139,21 @@ def test_parse_requires_header():
         parse_ledger("1,20,1,2,3,1,1,1\n")
     with pytest.raises(LedgerError, match="no header"):
         parse_ledger("# only a comment\n")
+
+
+def test_malformed_document_is_one_error():
+    for text, message in (
+        ("idx,n,x1\n1,2,3\n", "row 1: header must be"),
+        ("# only a comment\n", "doc: no header row found"),
+        ("[1, 2]", "doc: a JSON ledger must be an object with a 'studies' list"),
+        ('{"studies": 5}', "doc: a JSON ledger must be an object"),
+        ('{"studies": [', "doc: invalid JSON"),
+    ):
+        led, errors = parse_ledger_lenient(text, source="doc")
+        assert len(led) == 0 and led.source == "doc"
+        assert len(errors) == 1 and message in str(errors[0]), text
+        with pytest.raises(LedgerError, match=re.escape(message)):
+            parse_ledger(text, source="doc")
 
 
 def test_comments_and_blank_lines_are_skipped():
@@ -116,12 +208,16 @@ def test_bundled_fixture_sizes(suspect, reference):
     assert len(reference) == 21
 
 
-def test_json_mapping_round_trip(reference):
+def test_json_mapping_round_trip(suspect, reference):
     doc = json.dumps(ledger_to_mapping(reference))
     again = parse_ledger(doc)
     assert len(again) == 21
     assert again.studies[0].id == "Hagtvedt-l"
     assert again.studies[0].n == 23.5
+    # the fixtures are parsed from the bundled CSV files, and the JSON form
+    # carries every float exactly: both formats give the same studies
+    for led in (suspect, reference):
+        assert parse_ledger(json.dumps(ledger_to_mapping(led))).studies == led.studies
 
 
 def test_json_accepts_rational_n_strings():
@@ -129,6 +225,13 @@ def test_json_accepts_rational_n_strings():
         {"studies": [{"id": "q", "n": "141/6", "means": [1, 2, 3], "sds": [1, 1, 1]}]}
     )
     assert parse_ledger(doc).studies[0].n == 23.5
+
+
+def test_json_honours_its_source():
+    doc = ledger_to_mapping(StudyLedger((GOOD,), source="committee table 2"))
+    assert parse_ledger(json.dumps(doc), source="file.json").source == "committee table 2"
+    del doc["source"]
+    assert parse_ledger(json.dumps(doc), source="file.json").source == "file.json"
 
 
 def test_lenient_parse_keeps_valid_rows():
@@ -140,6 +243,11 @@ def test_lenient_parse_keeps_valid_rows():
     assert [s.id for s in led] == ["good", "also-good"]
     assert len(errors) == 1
     assert errors[0].study_id == "bad"
+    for fmt, _ in FORMATS:
+        led, errors = parse_ledger_lenient(render(fmt, [GOOD, BAD_SD, ALSO_GOOD]))
+        assert [s.id for s in led] == ["good", "also-good"], fmt
+        assert [str(e) for e in errors] == ["study 'bad': sds must be positive"]
+        assert errors[0].study_id == "bad"
 
 
 def test_serialize_rejects_comma_ids():

@@ -51,40 +51,27 @@ def render_value(ev: engine.EvidentialValue) -> str:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One rendered study of a compute report."""
+    """One rendered study of a compute report: its inputs and what they gave."""
 
-    id: str
-    n: float
-    means: tuple[float, float, float]
-    sds: tuple[float, float, float]
+    study: ledger.StudySummary
     value: engine.EvidentialValue
     v_rendered: str
     z_v: float
     z_c: float
-    case_tag: str
-    mode: str
     notes: tuple[str, ...]
 
 
 def build_rows(studies, mode: engine.Mode) -> list[ReportRow]:
+    """Evaluate each study; an arithmetic failure is a ValueError naming it."""
     rows = []
     for study in studies:
-        ev = engine.evidential_value(study, mode)
-        rows.append(
-            ReportRow(
-                id=study.id,
-                n=study.n,
-                means=study.means,
-                sds=study.sds,
-                value=ev,
-                v_rendered=render_value(ev),
-                z_v=engine.z_v_statistic(study),
-                z_c=engine.z_c_statistic(study),
-                case_tag=ev.case.value,
-                mode=mode.value,
-                notes=tuple(ledger.study_warnings(study)),
-            )
-        )
+        try:
+            ev = engine.evidential_value(study, mode)
+            z_v, z_c = engine.z_v_statistic(study), engine.z_c_statistic(study)
+        except ArithmeticError as exc:
+            raise ValueError(f"study '{study.id}': {exc}") from exc
+        notes = tuple(ledger.study_warnings(study))
+        rows.append(ReportRow(study, ev, render_value(ev), z_v, z_c, notes))
     return rows
 
 
@@ -96,14 +83,14 @@ def _render_table(rows, combined, tail_v, tail_fraction, out):
     header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [
         (
-            r.id,
-            f"{r.n:g}",
-            _nums(r.means),
-            _nums(r.sds),
+            r.study.id,
+            f"{r.study.n:g}",
+            _nums(r.study.means),
+            _nums(r.study.sds),
             r.v_rendered,
             f"{r.z_v:+.4f}",
             f"{r.z_c:+.4f}",
-            r.case_tag,
+            r.value.case.value,
             "*" if r.notes else "",
         )
         for r in rows
@@ -126,7 +113,7 @@ def _render_table(rows, combined, tail_v, tail_fraction, out):
         f"empirical share with V >= {tail_v:g}: {count}/{len(rows)} "
         f"= {tail_fraction:.4f}"
     )
-    notes = [(r.id, note) for r in rows for note in r.notes]
+    notes = [(r.study.id, note) for r in rows for note in r.notes]
     if notes:
         lines.append("notes:")
         for sid, note in notes:
@@ -142,17 +129,17 @@ def _render_json(rows, combined, tail_v, tail_fraction, source, errors, out):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source": source,
-        "mode": rows[0].mode if rows else None,
+        "mode": rows[0].value.mode.value if rows else None,
         "rows": [
             {
-                "id": r.id,
-                "n": r.n,
-                "means": list(r.means),
-                "sds": list(r.sds),
-                "v_lower": r.value.lower if not math.isinf(r.value.lower) else None,
+                "id": r.study.id,
+                "n": r.study.n,
+                "means": list(r.study.means),
+                "sds": list(r.study.sds),
+                "v_lower": _json_bound(r.value.lower),
                 "v_upper": _json_bound(r.value.upper),
                 "v_rendered": r.v_rendered,
-                "case": r.case_tag,
+                "case": r.value.case.value,
                 "z_v": r.z_v,
                 "z_c": r.z_c,
                 "notes": list(r.notes),
@@ -169,8 +156,8 @@ def _render_json(rows, combined, tail_v, tail_fraction, source, errors, out):
         "empirical_tail": {"v": tail_v, "fraction": tail_fraction},
         "errors": [str(e) for e in errors],
     }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
+    # one line through the C encoder; ``python -m json.tool`` pretty-prints it
+    out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def cmd_compute(args, out=None, err=None) -> int:
@@ -195,7 +182,7 @@ def cmd_compute(args, out=None, err=None) -> int:
     try:
         rows = build_rows(led, mode)
         combined = engine.combine(
-            [(r.id, r.value) for r in rows], prior_odds=args.prior_odds
+            [(r.study.id, r.value) for r in rows], prior_odds=args.prior_odds
         )
         tail_v = 2.0
         tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
@@ -245,8 +232,8 @@ def cmd_simulate(args, out=None, err=None) -> int:
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 
-from .ledger import require_valid
-
 __all__ = [
     "CorrelationTriple",
     "GeometryError",
@@ -134,11 +132,11 @@ def contrast(means) -> float:
     value.  Evaluating through :class:`~decimal.Decimal` (via ``repr``,
     which recovers the shortest decimal form of a float) guarantees that
     decimally-zero contrasts come out as exact zeros instead of 1e-16
-    noise.
+    noise.  The sum is exact (:data:`_EXACT`), so means of very different
+    magnitudes cannot cancel wrongly and their order does not matter.
     """
-    x1, x2, x3 = (float(x) for x in means)
-    d = Decimal(repr(x1)) - 2 * Decimal(repr(x2)) + Decimal(repr(x3))
-    return float(d)
+    x1, x2, x3 = (Decimal(repr(float(x))) for x in means)
+    return float(_EXACT.subtract(_EXACT.add(x1, x3), _EXACT.add(x2, x2)))
 
 
 def paper_lower_bound_sq(sds) -> float:
@@ -219,12 +217,11 @@ class VarianceProfile:
 
 
 def variance_profile(study) -> VarianceProfile:
-    """Validate *study* and compute its full variance profile.
+    """Compute the full variance profile of *study*.
 
-    Raises :class:`~evidential.ledger.LedgerError` naming the study when
-    it violates a ledger invariant.
+    It computes and does not validate: a
+    :class:`~evidential.ledger.StudySummary` is checked when it is made.
     """
-    require_valid(study)
     paper_sq = paper_lower_bound_sq(study.sds)
     # the proxy dominates the infimum in exact arithmetic, but the two
     # formulas round differently; the clip keeps the chain exact in floats

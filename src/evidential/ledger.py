@@ -35,11 +35,16 @@ class LedgerError(ValueError):
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Summary statistics of one three-cell study.
+    """Summary statistics of one three-cell study, valid by construction.
 
     ``n`` is a positive real, not an integer: published tables often report
     a total sample size over unequal cells, so the per-cell size is a
     quotient like 141/6 = 23.5.
+
+    Construction runs :func:`validate` and raises one :class:`LedgerError`
+    (``study '<id>': <violation>; ...``, with ``study_id`` set) when the
+    numbers break an invariant.  Every study that exists is therefore
+    valid, and no evaluation checks it again.
     """
 
     id: str
@@ -50,6 +55,9 @@ class StudySummary:
     def __post_init__(self):
         object.__setattr__(self, "means", tuple(float(x) for x in self.means))
         object.__setattr__(self, "sds", tuple(float(s) for s in self.sds))
+        problems = validate(self)
+        if problems:
+            raise LedgerError(f"study '{self.id}': " + "; ".join(problems), study_id=self.id)
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,9 @@ class StudyLedger:
 def validate(study: StudySummary) -> list[str]:
     """Return every violated invariant of *study* (empty list when valid).
 
-    Violations are returned rather than raised so callers can report all
-    problems of a row at once.
+    :class:`StudySummary` calls it on each study it builds and raises the
+    violations as one error, so that a row reports all its problems at
+    once; a constructed study always passes.
     """
     violations = []
     if len(study.means) != 3:
@@ -101,15 +110,6 @@ def study_warnings(study: StudySummary) -> list[str]:
     if study.n < 5:
         notes.append(f"n = {study.n:g} < 5: normal approximation is unreliable")
     return notes
-
-
-def require_valid(study: StudySummary, row=None) -> None:
-    """Raise one :class:`LedgerError` naming every violation of *study*."""
-    problems = validate(study)
-    if problems:
-        raise LedgerError(
-            f"study '{study.id}': " + "; ".join(problems), row=row, study_id=study.id
-        )
 
 
 def _number(cell, quotient: bool):
@@ -187,11 +187,13 @@ def _json_rows(text: str, source: str):
 def parse_ledger_lenient(text: str, source: str = "<string>"):
     """Parse a ledger document (CSV dialect or JSON mapping) row by row.
 
-    Returns ``(ledger, errors)``: rows that fail to parse or validate, and
-    repeated ids, are dropped from the ledger and reported in *errors*;
-    well-formed rows survive.  Both formats share these row rules; a
-    malformed document (no or bad CSV header, invalid JSON, no ``studies``
-    list) yields no rows and one error.
+    Returns ``(ledger, errors)``: rows that fail to parse, rows whose
+    :class:`StudySummary` construction fails (the error gets the row
+    attached), and repeated ids are dropped from the ledger and reported
+    in *errors*; well-formed rows survive.  Both formats share these row
+    rules; a malformed document (no or bad CSV header, invalid JSON, no
+    ``studies`` list) yields no rows and one error.  One leading UTF-8
+    byte-order mark, as spreadsheet exports write, is dropped.
 
     CSV: UTF-8, comma-delimited, mandatory header ``id,n,x1,x2,x3,s1,s2,s3``,
     comment lines start with ``#``; rows are named ``row N`` (1-based
@@ -200,6 +202,7 @@ def parse_ledger_lenient(text: str, source: str = "<string>"):
     top-level ``source``; rows are named ``studies[k]``.  Cells are numbers
     or their text; ``n`` also accepts quotients like ``141/6``.
     """
+    text = text.removeprefix("\ufeff")
     try:
         if text.lstrip()[:1] in ("{", "["):
             source, rows = _json_rows(text, source)
@@ -235,10 +238,10 @@ def parse_ledger_lenient(text: str, source: str = "<string>"):
                 if value is None
             ]
             continue
-        study = StudySummary(study_id, values[0], tuple(values[1:4]), tuple(values[4:]))
         try:
-            require_valid(study, row=row)
+            study = StudySummary(study_id, values[0], tuple(values[1:4]), tuple(values[4:]))
         except LedgerError as exc:
+            exc.row = row
             errors.append(exc)
             continue
         if study_id in seen:

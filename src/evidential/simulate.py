@@ -85,6 +85,8 @@ class ModelParams:
             object.__setattr__(self, "rho", CorrelationTriple(*self.rho))
         if len(self.mu) != 3 or len(self.sigma) != 3:
             raise ParameterError("mu and sigma must have exactly three entries")
+        if not all(math.isfinite(x) for x in self.mu + self.sigma):
+            raise ParameterError("mu and sigma must be finite")
         if any(s <= 0 for s in self.sigma):
             raise ParameterError("sigma must be positive")
         if int(self.n) != self.n or self.n < 1:

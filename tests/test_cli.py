@@ -84,7 +84,7 @@ def test_compute_reference_rendered_column(reference):
     from evidential.cli import build_rows
 
     rows = build_rows(reference, Mode.PAPER)
-    got = {r.id: r.v_rendered for r in rows}
+    got = {r.study.id: r.v_rendered for r in rows}
     assert got == REFERENCE_RENDERED
 
 
@@ -159,6 +159,32 @@ def test_compute_prior_odds_scales_posterior(suspect_csv):
     doc = json.loads(out)
     assert doc["combined"]["posterior_odds_lower"] == pytest.approx(
         0.001 * doc["combined"]["product_lower"], rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("odds", ["0", "nan", "inf"])
+def test_compute_rejects_prior_odds_that_are_not_positive_and_finite(
+    suspect_csv, odds, capsys
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", str(suspect_csv), "--prior-odds", odds])
+    assert exc.value.code == 2
+    assert "--prior-odds: must be positive and finite" in capsys.readouterr().err
+
+
+def test_compute_arithmetic_failure_names_the_study(tmp_path):
+    # sds whose squares underflow: s0 is 0.0 and Z_V divides by it
+    path = tmp_path / "tiny.csv"
+    path.write_bytes(HEADER_LINE + b"a,20,1e-200,0,0,1e-200,2e-200,1e-200\n")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, out, err) == (1, "", "error: study 'a': float division by zero\n")
+
+
+def test_compute_reads_a_byte_order_mark(tmp_path, suspect_csv):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + suspect_csv.read_bytes())
+    assert run(["compute", "--input", str(path)]) == run(
+        ["compute", "--input", str(suspect_csv)]
     )
 
 
@@ -261,6 +287,10 @@ def test_simulate_command_rejects_bad_sigma():
     code, _, err = run(["simulate", "--n", "20", "--sigma", "1,1",
                         "--reps", "2000", "--seed", "1"])
     assert code == 2 and "sigma" in err
+    for sigma in ("nan,1,1", "inf,1,1"):
+        code, out, err = run(["simulate", "--n", "20", "--sigma", sigma,
+                              "--reps", "2000", "--seed", "1"])
+        assert (code, out, err) == (2, "", "error: mu and sigma must be finite\n"), sigma
 
 
 # --- entry point -------------------------------------------------------------------

@@ -23,6 +23,7 @@ from evidential.engine import (
     z_v_statistic,
 )
 from evidential import ledger
+from evidential.geometry import variance_profile
 from evidential.ledger import LedgerError, StudySummary
 
 from helpers import random_study
@@ -113,12 +114,12 @@ def test_mode_accepts_plain_strings(by_id):
 
 
 def test_invalid_study_is_rejected():
-    bad = StudySummary("b", -1, (1, 2, 3), (1, 1, 1))
+    # an invalid study cannot reach evidential_value: making it raises
     with pytest.raises(LedgerError, match="n must be positive"):
-        evidential_value(bad)
+        StudySummary("b", -1, (1, 2, 3), (1, 1, 1))
 
 
-def test_each_mode_validates_a_study_once(monkeypatch, suspect):
+def test_each_mode_validates_a_study_once(monkeypatch, suspect, reference):
     calls = []
     original = ledger.validate
 
@@ -132,11 +133,19 @@ def test_each_mode_validates_a_study_once(monkeypatch, suspect):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
-    for mode in (Mode.PAPER, Mode.EXACT):
-        calls.clear()
-        for study in suspect:
+    bundled = list(suspect) + list(reference)
+    # construction validates each study once ...
+    made = [StudySummary(s.id, s.n, s.means, s.sds) for s in bundled]
+    assert calls == [s.id for s in bundled]
+    # ... and no evaluation validates it again
+    calls.clear()
+    for study in made:
+        for mode in (Mode.PAPER, Mode.EXACT):
             evidential_value(study, mode)
-        assert calls == [s.id for s in suspect], mode
+        variance_profile(study)
+        z_v_statistic(study)
+        z_c_statistic(study)
+    assert calls == []
 
 
 # --- contrast statistics --------------------------------------------------

@@ -90,6 +90,8 @@ def test_contrast_is_decimal_exact():
     assert contrast((2.87, 3.83, 4.79)) == 0.0
     assert contrast((2.47, 3.04, 3.68)) == 0.07
     assert contrast((5.1, 5.1, 5.1)) == 0.0
+    # exact in any order, however far apart the magnitudes
+    assert contrast((1e-30, 5e29, 1e30)) == contrast((1e30, 5e29, 1e-30)) == 1e-30
 
 
 def test_paper_lower_bound_examples():
@@ -214,6 +216,6 @@ def test_variance_profile_chain_holds_exactly(suspect, reference):
 
 
 def test_variance_profile_rejects_invalid_study():
-    bad = StudySummary("b", 20, (1, 2, 3), (1.0, 0.0, 1.0))
+    # an invalid study cannot reach variance_profile: making it raises
     with pytest.raises(LedgerError, match="sds must be positive"):
-        variance_profile(bad)
+        StudySummary("b", 20, (1, 2, 3), (1.0, 0.0, 1.0))

@@ -19,19 +19,27 @@ from evidential.ledger import (
 HEADER = ",".join(COLUMNS)
 
 GOOD = StudySummary("good", 20, (1, 2, 3), (1, 1, 1))
-BAD_SD = StudySummary("bad", 20, (1, 2, 3), (1, 0, 1))
 ALSO_GOOD = StudySummary("also-good", 15, (1, 2, 3), (2, 2, 2))
 
-#: each format with the name its errors give the k-th study (0-based)
-FORMATS = (("csv", lambda k: f"row {k + 2}"), ("json", lambda k: f"studies[{k}]"))
+#: each rendering with the name its errors give the k-th study (0-based); a
+#: leading byte-order mark changes nothing
+FORMATS = (
+    ("csv", lambda k: f"row {k + 2}"),
+    ("json", lambda k: f"studies[{k}]"),
+    ("csv+bom", lambda k: f"row {k + 2}"),
+    ("json+bom", lambda k: f"studies[{k}]"),
+)
 
 
 def render(fmt, studies, edits=()):
     """*studies* as CSV (``serialize_ledger``) or JSON (``ledger_to_mapping``).
 
     Each ``(k, column, cell)`` edit replaces one cell of the k-th study:
-    with the text of *cell* in CSV, with the JSON value *cell* in JSON.
+    with the text of *cell* in CSV, with the JSON value *cell* in JSON.  A
+    ``+bom`` format starts with a UTF-8 byte-order mark.
     """
+    if fmt.endswith("+bom"):
+        return "\ufeff" + render(fmt.removesuffix("+bom"), studies, edits)
     ledger = StudyLedger(tuple(studies))
     if fmt == "csv":
         lines = serialize_ledger(ledger).splitlines()
@@ -164,16 +172,18 @@ def test_comments_and_blank_lines_are_skipped():
 def test_validate_examples():
     good = StudySummary("1", 20, (2.47, 3.04, 3.68), (1.21, 0.72, 0.68))
     assert validate(good) == []
-    assert validate(StudySummary("x", 0, (1, 2, 3), (1, 1, 1))) == ["n must be positive"]
-    assert "sds must be positive" in validate(
-        StudySummary("x", 20, (1, 2, 3), (1.0, -0.5, 1.0))
-    )
-    assert "means must have exactly three entries" in validate(
-        StudySummary("x", 20, (1, 2), (1, 1, 1))
-    )
-    assert "n must be finite" in validate(
-        StudySummary("x", float("nan"), (1, 2, 3), (1, 1, 1))
-    )
+    # construction validates: an invalid study raises, naming its id
+    with pytest.raises(LedgerError) as exc:
+        StudySummary("x", 0, (1, 2, 3), (1, 1, 1))
+    assert str(exc.value) == "study 'x': n must be positive"
+    assert exc.value.study_id == "x" and exc.value.row is None
+    for n, means, sds, violation in (
+        (20, (1, 2, 3), (1.0, -0.5, 1.0), "sds must be positive"),
+        (20, (1, 2), (1, 1, 1), "means must have exactly three entries"),
+        (float("nan"), (1, 2, 3), (1, 1, 1), "n must be finite"),
+    ):
+        with pytest.raises(LedgerError, match=re.escape(violation)):
+            StudySummary("x", n, means, sds)
 
 
 def test_warnings_flag_noninteger_and_tiny_n():
@@ -243,8 +253,11 @@ def test_lenient_parse_keeps_valid_rows():
     assert [s.id for s in led] == ["good", "also-good"]
     assert len(errors) == 1
     assert errors[0].study_id == "bad"
+    assert errors[0].row == 3
+    bad = StudySummary("bad", 20, (1, 2, 3), (1, 1, 1))
     for fmt, _ in FORMATS:
-        led, errors = parse_ledger_lenient(render(fmt, [GOOD, BAD_SD, ALSO_GOOD]))
+        text = render(fmt, [GOOD, bad, ALSO_GOOD], edits=[(1, "s2", 0)])
+        led, errors = parse_ledger_lenient(text)
         assert [s.id for s in led] == ["good", "also-good"], fmt
         assert [str(e) for e in errors] == ["study 'bad': sds must be positive"]
         assert errors[0].study_id == "bad"

@@ -63,6 +63,11 @@ def test_model_params_validation():
         params(n=0)
     with pytest.raises(ValueError):
         params(rho=(1.0, 1.0, 1.0))  # boundary triple is not admissible
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="mu and sigma must be finite"):
+            params(sigma=(bad, 1, 1))
+        with pytest.raises(ParameterError, match="mu and sigma must be finite"):
+            params(mu=(0, bad, 0))
 
 
 # --- error generation --------------------------------------------------------

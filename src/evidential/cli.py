@@ -79,6 +79,11 @@ def _nums(values) -> str:
     return ",".join(f"{x:g}" for x in values)
 
 
+def _fmt_z(x: float) -> str:
+    # fixed point as the tables print it, scientific where that runs long
+    return f"{x:+.4e}" if abs(x) >= 1e6 else f"{x:+.4f}"
+
+
 def _render_table(rows, combined, tail_v, tail_fraction, out):
     header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [
@@ -88,8 +93,8 @@ def _render_table(rows, combined, tail_v, tail_fraction, out):
             _nums(r.study.means),
             _nums(r.study.sds),
             r.v_rendered,
-            f"{r.z_v:+.4f}",
-            f"{r.z_c:+.4f}",
+            _fmt_z(r.z_v),
+            _fmt_z(r.z_c),
             r.value.case.value,
             "*" if r.notes else "",
         )

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -101,6 +102,16 @@ def test_compute_footer_reports_products_and_tail(reference_csv):
     # non-integer n rows carry a note marker and a notes section
     assert "notes:" in out
     assert "not an integer" in out
+
+
+def test_compute_table_prints_huge_statistics_in_scientific_notation(tmp_path):
+    # Z_V and Z_C are 7.3e300 here: fixed point would print 300 digits each
+    path = tmp_path / "huge.csv"
+    path.write_bytes(HEADER_LINE + b"a,20,1e300,-1e300,1e300,1,1,1\n")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert code == 0 and err == ""
+    assert max(len(line) for line in out.splitlines()) <= 80
+    assert "+7.3030e+300  +7.3030e+300  above" in out
 
 
 def test_compute_footer_renders_products_beyond_default_decimal_precision(
@@ -287,10 +298,21 @@ def test_simulate_command_rejects_bad_sigma():
     code, _, err = run(["simulate", "--n", "20", "--sigma", "1,1",
                         "--reps", "2000", "--seed", "1"])
     assert code == 2 and "sigma" in err
-    for sigma in ("nan,1,1", "inf,1,1"):
-        code, out, err = run(["simulate", "--n", "20", "--sigma", sigma,
-                              "--reps", "2000", "--seed", "1"])
-        assert (code, out, err) == (2, "", "error: mu and sigma must be finite\n"), sigma
+    for n, sigma, problem in (
+        ("20", "nan,1,1", "mu and sigma must be finite"),
+        ("20", "inf,1,1", "mu and sigma must be finite"),
+        # finite sigmas whose sample sds overflow or vanish: the study of
+        # the first such replication is refused, without a numpy warning;
+        # at 1e-159 only a few sds underflow to 0, in replications that
+        # are far from the threshold
+        ("20", "1e300,1,1", "study 'sim': sds must be finite"),
+        ("2", "1e-159,1,1", "study 'sim': sds must be positive"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["simulate", "--n", n, "--sigma", sigma,
+                                  "--reps", "2000", "--seed", "1"])
+        assert (code, out, err) == (2, "", f"error: {problem}\n"), sigma
 
 
 # --- entry point -------------------------------------------------------------------

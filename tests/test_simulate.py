@@ -203,6 +203,32 @@ def test_null_exceedance_is_schedule_independent():
     assert count / 1200 == report.exceed_prob
 
 
+def test_null_exceedance_equals_the_per_replication_loop():
+    # the blocked path evaluates only the replications its threshold screen
+    # keeps; the count must be that of evaluating every replication
+    from evidential import simulate
+    from evidential.engine import Mode, evidential_value
+
+    thresholds = (1.5, 2.0, 10.0, 1e6)
+    # (0.01, 1, 100) never reaches v; (1.5, 0.7, 2) has a paper floor
+    # that n*z^2 falls below in about a third of the replications
+    sigmas = ((1.0, 1.0, 1.0), (0.01, 1.0, 100.0), (1.5, 0.7, 2.0))
+    cases = [(n, sigma, thresholds) for n in (2, 5, 20) for sigma in sigmas]
+    # at n = 1100 a block holds fewer replications, to bound its memory
+    cases.append((1100, sigmas[0], (2.0,)))
+    for n, sigma, vs in cases:
+        p = ModelParams(mu=(0, 0, 0), sigma=sigma, rho=NULL_RHO, n=n)
+        lowers = [
+            evidential_value(simulate_study(p, seed=(23, rep)), Mode.PAPER).lower
+            for rep in range(4 * simulate._BLOCK + 1)
+        ]
+        for reps in (1000, 4 * simulate._BLOCK + 1):
+            for v in vs:
+                expected = sum(lower >= v for lower in lowers[:reps]) / reps
+                report = null_exceedance(n=n, sigma=sigma, v_threshold=v, reps=reps, seed=23)
+                assert report.exceed_prob == expected, (n, sigma, reps, v)
+
+
 def test_null_exceedance_parameter_errors():
     with pytest.raises(ParameterError, match="reps"):
         null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=0, seed=1)

@@ -28,7 +28,12 @@ module, and the commands that never simulate, need the stdlib only.
 :func:`null_exceedance` evaluates replications in blocks: one draw call
 per replication into a shared buffer (the same stream as
 :func:`simulate_study`), the means and sds of the whole block in numpy
-(the same operations, so the same floats), and then a screen.  The value
+(the same operations, so the same floats), and then a screen.  Replication
+k's stream is still ``default_rng((seed, k))``, but where the seed and
+every k of a block fit one 32-bit word, the PCG64 states of the whole
+block are computed at once from numpy's documented seeding (see
+:func:`_pcg64_states`) and set in turn on one reused generator; other
+blocks build a ``default_rng`` per replication.  The value
 of a study reaches v only if ``n*z^2/s0^2 <= threshold_ratio(v)^2``
 (every regime's lower end is at most the middle-regime value, which
 :func:`~evidential.engine.threshold_ratio` inverts), so a replication
@@ -168,9 +173,11 @@ def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummar
         raise ParameterError("n >= 2 required for sample sd")
     eps = generate_errors(params, seed)
     np = _numpy()
-    data = np.asarray(params.mu)[:, None] + eps
-    means = data.mean(axis=1)
-    sds = data.std(axis=1, ddof=1)
+    # an sd that overflows or vanishes is refused by StudySummary
+    with np.errstate(all="ignore"):
+        data = np.asarray(params.mu)[:, None] + eps
+        means = data.mean(axis=1)
+        sds = data.std(axis=1, ddof=1)
     return StudySummary(
         id=label,
         n=float(params.n),
@@ -206,6 +213,83 @@ _MARGIN = 1e-6
 #: bound on |float contrast - decimal contrast| per unit of |x1|+2|x2|+|x3|
 _CONTRAST_SLACK = 4.0 * sys.float_info.epsilon
 
+#: numpy's SeedSequence hashing constants and PCG64's 128-bit multiplier,
+#: fixed by its documented seeding (NEP 19 keeps seeded streams stable)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = 1 << 32
+
+
+def _pcg64_states(seed, first, count):
+    """The PCG64 ``(state, inc)`` of ``default_rng((seed, k))`` for the
+    *count* replications k from *first* on; *seed* and every k must be
+    below 2**32.
+
+    SeedSequence turns the entropy words [seed, k] into a pool of 4 words
+    and hashes the pool into the 4 uint64 words w0..w3 of
+    ``generate_state(4, uint64)``; PCG64 seeds itself from ``w0:w1`` and
+    ``w2:w3`` as 128-bit numbers.  The uint32 steps run on arrays with one
+    element per replication, the 128-bit ones on Python ints.
+    """
+    np = _numpy()
+
+    def hasher(const, mult):
+        # SeedSequence's hash, whose constant steps on with every call
+        def hash_word(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult % _WORD
+            value = value * const
+            return value ^ (value >> 16)
+
+        return hash_word
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(count, np.uint32)
+    entropy = (zero + seed, np.arange(first, first + count, dtype=np.uint32), zero, zero)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hash_out = hasher(_INIT_B, _MULT_B)
+    halves = [hash_out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # little-endian pairs of uint32 words make the uint64 words
+    words = [(halves[2 * k] | halves[2 * k + 1] << 32).tolist() for k in range(4)]
+    states = []
+    for w0, w1, w2, w3 in zip(*words):
+        inc = ((w2 << 64 | w3) << 1 | 1) % (1 << 128)
+        states.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) % (1 << 128), inc))
+    return states
+
+
+def _standard_normals(out, seed, first, generator):
+    """Fill ``out[i]`` with the first standard normals that
+    ``default_rng((seed, first + i))`` draws.
+
+    *generator* is a reused ``Generator`` over a ``PCG64``: where *seed* and
+    every replication index fit one uint32 word, it is set to each
+    replication's state in turn; otherwise each replication builds its own
+    ``default_rng``.
+    """
+    if seed < _WORD and first + len(out) <= _WORD:
+        bits, normal = generator.bit_generator, generator.standard_normal
+        for row, (state, inc) in zip(out, _pcg64_states(seed, first, len(out))):
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            normal(out=row)
+    else:
+        default_rng = _numpy().random.default_rng
+        for i, row in enumerate(out):
+            default_rng((seed, first + i)).standard_normal(out=row)
+
 
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     """Estimate P(V >= v) under data integrity by Monte Carlo.
@@ -215,11 +299,14 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     the means only through the contrast), evaluates the paper-mode
     evidential value of each, and counts a study as exceeding when its
     lower bound reaches *v_threshold* (the conservative reading of an
-    interval).  Replication k uses the random stream (seed, k), so the
-    estimate is independent of scheduling and reproducible bit-for-bit.
-    Replications run in blocks, and only those that pass the threshold
-    screen described in the module docstring are evaluated one by one;
-    the count is that of evaluating every :func:`simulate_study`.
+    interval).  Replication k uses the random stream ``default_rng((seed,
+    k))``, so the estimate is independent of scheduling and reproducible
+    bit-for-bit.  Replications run in blocks.  Where the seed and the
+    block's replication indices are below 2**32, the block's PCG64 states
+    are computed at once (:func:`_pcg64_states`) instead of building each
+    generator.  Only the replications that pass the threshold screen
+    described in the module docstring are evaluated one by one; the count
+    is that of evaluating every :func:`simulate_study`.
     """
     if reps < 1000:
         raise ParameterError("reps must be at least 1000")
@@ -234,8 +321,10 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     if params.n < 2:
         raise ParameterError("n >= 2 required for sample sd")
     seed = int(seed)
+    if seed < 0:
+        raise ParameterError("seed must be a non-negative integer")
     np = _numpy()
-    default_rng = np.random.default_rng
+    generator = np.random.Generator(np.random.PCG64())
     mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]
     n_float = float(params.n)
@@ -247,9 +336,8 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     count = 0
     for first in range(0, reps, block_reps):
         block = draws[: min(block_reps, reps - first)]
-        for i, row in enumerate(block):
-            # row 0 is generate_errors' u draw, rows 1-3 its v draws
-            default_rng((seed, first + i)).standard_normal(out=row)
+        # row 0 is generate_errors' u draw, rows 1-3 its v draws
+        _standard_normals(block, seed, first, generator)
         with np.errstate(all="ignore"):
             data = mu + scale * block[:, 1:]
             means = data.mean(axis=2)

@@ -294,6 +294,12 @@ def test_simulate_command_rejects_zero_reps():
     assert code == 2 and "reps" in err
 
 
+def test_simulate_command_rejects_a_negative_seed():
+    code, out, err = run(["simulate", "--n", "20", "--sigma", "1,1,1",
+                          "--reps", "2000", "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: seed must be a non-negative integer\n")
+
+
 def test_simulate_command_rejects_bad_sigma():
     code, _, err = run(["simulate", "--n", "20", "--sigma", "1,1",
                         "--reps", "2000", "--seed", "1"])

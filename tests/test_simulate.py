@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from evidential.geometry import CorrelationTriple
+from evidential.ledger import LedgerError
 from evidential.simulate import (
     ModelParams,
     ParameterError,
@@ -154,6 +156,15 @@ def test_simulate_study_recovers_parameters():
     assert study.n == 1_000_000.0
 
 
+def test_simulate_study_refuses_overflowing_sds_without_a_numpy_warning():
+    # 1e300 * N(0, 1) is finite, but its sample variance overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LedgerError) as info:
+            simulate_study(params(sigma=(1e300, 1, 1), n=20), seed=(1, 0))
+    assert str(info.value) == "study 'sim': sds must be finite"
+
+
 def test_simulate_study_needs_two_observations():
     with pytest.raises(ParameterError, match="n >= 2"):
         simulate_study(params(n=1), seed=0)
@@ -213,20 +224,47 @@ def test_null_exceedance_equals_the_per_replication_loop():
     # (0.01, 1, 100) never reaches v; (1.5, 0.7, 2) has a paper floor
     # that n*z^2 falls below in about a third of the replications
     sigmas = ((1.0, 1.0, 1.0), (0.01, 1.0, 100.0), (1.5, 0.7, 2.0))
-    cases = [(n, sigma, thresholds) for n in (2, 5, 20) for sigma in sigmas]
+    cases = [(n, sigma, thresholds, 23) for n in (2, 5, 20) for sigma in sigmas]
     # at n = 1100 a block holds fewer replications, to bound its memory
-    cases.append((1100, sigmas[0], (2.0,)))
-    for n, sigma, vs in cases:
+    cases.append((1100, sigmas[0], (2.0,), 23))
+    # the largest seed whose states are computed in bulk, and the smallest
+    # that builds a default_rng per replication
+    cases += [(20, sigmas[0], (2.0,), seed) for seed in (2**32 - 1, 2**32)]
+    for n, sigma, vs, seed in cases:
         p = ModelParams(mu=(0, 0, 0), sigma=sigma, rho=NULL_RHO, n=n)
         lowers = [
-            evidential_value(simulate_study(p, seed=(23, rep)), Mode.PAPER).lower
+            evidential_value(simulate_study(p, seed=(seed, rep)), Mode.PAPER).lower
             for rep in range(4 * simulate._BLOCK + 1)
         ]
         for reps in (1000, 4 * simulate._BLOCK + 1):
             for v in vs:
                 expected = sum(lower >= v for lower in lowers[:reps]) / reps
-                report = null_exceedance(n=n, sigma=sigma, v_threshold=v, reps=reps, seed=23)
-                assert report.exceed_prob == expected, (n, sigma, reps, v)
+                report = null_exceedance(n=n, sigma=sigma, v_threshold=v, reps=reps, seed=seed)
+                assert report.exceed_prob == expected, (n, sigma, reps, v, seed)
+
+
+def test_block_seeding_draws_the_default_rng_streams():
+    # the PCG64 states computed a block at a time are those default_rng
+    # builds, and the buffers drawn from them are the same bit for bit
+    from evidential import simulate
+
+    generator = np.random.default_rng()
+    n = 20
+    out = np.empty((256, 4, n))
+    expected = np.empty_like(out)
+    for seed in (0, 1, 42, 2**31, 2**32 - 1):
+        # 2**32 - 256 starts the last block whose indices are one uint32
+        # word; the block from 2**32 - 128 builds a default_rng per index
+        for first in (0, 1, 1000, 2**32 - 256, 2**32 - 128):
+            if first + len(out) <= 2**32:
+                states = simulate._pcg64_states(seed, first, len(out))
+                for i, (state, inc) in enumerate(states):
+                    reference = np.random.default_rng((seed, first + i)).bit_generator.state
+                    assert reference["state"] == {"state": state, "inc": inc}, (seed, first + i)
+            simulate._standard_normals(out, seed, first, generator)
+            for i, row in enumerate(expected):
+                np.random.default_rng((seed, first + i)).standard_normal(out=row)
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), (seed, first)
 
 
 def test_null_exceedance_parameter_errors():
@@ -236,6 +274,8 @@ def test_null_exceedance_parameter_errors():
         null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=1.0, reps=2000, seed=1)
     with pytest.raises(ParameterError, match="n >= 2"):
         null_exceedance(n=1, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=1)
+    with pytest.raises(ParameterError, match="^seed must be a non-negative integer$"):
+        null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=-1)
 
 
 def test_mu_on_the_constraint_changes_nothing():

@@ -227,9 +227,12 @@ def cmd_simulate(args, out=None, err=None) -> int:
     except (simulate.ParameterError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
+    # the shortest label that reads back as v: %g unless it rounds v
+    v = f"{report.v_threshold:g}"
+    v = v if float(v) == report.v_threshold else repr(report.v_threshold)
     out.write(
-        f"reps: {report.reps}  seed: {report.seed}  v: {report.v_threshold:g}\n"
-        f"P(V >= {report.v_threshold:g}) = {report.exceed_prob:.4f}"
+        f"reps: {report.reps}  seed: {report.seed}  v: {v}\n"
+        f"P(V >= {v}) = {report.exceed_prob:.4f}"
         f"  (mc stderr {report.mc_stderr:.4f})\n"
     )
     return EXIT_OK

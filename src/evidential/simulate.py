@@ -26,22 +26,20 @@ imported on first use (the module attribute ``np``), so importing this
 module, and the commands that never simulate, need the stdlib only.
 
 :func:`null_exceedance` evaluates replications in blocks: one draw call
-per replication into a shared buffer (the same stream as
-:func:`simulate_study`), the means and sds of the whole block in numpy
-(the same operations, so the same floats), and then a screen.  Replication
-k's stream is still ``default_rng((seed, k))``, but where the seed and
-every k of a block fit one 32-bit word, the PCG64 states of the whole
-block are computed at once from numpy's documented seeding (see
-:func:`_pcg64_states`) and set in turn on one reused generator; other
-blocks build a ``default_rng`` per replication.  The value
-of a study reaches v only if ``n*z^2/s0^2 <= threshold_ratio(v)^2``
-(every regime's lower end is at most the middle-regime value, which
-:func:`~evidential.engine.threshold_ratio` inverts), so a replication
-whose contrast is, even after subtracting a bound on its rounding error,
-clearly beyond that threshold cannot count; only the others become a
-:class:`~evidential.ledger.StudySummary` and are decided by
-:func:`~evidential.engine.evidential_value`.  The estimate is therefore
-the per-replication loop's, bit for bit.
+per replication into a shared buffer (the stream of :func:`simulate_study`;
+where the seed and every index of a block fit one 32-bit word, the block's
+PCG64 states are computed at once, see :func:`_pcg64_states`), the means
+and sds of the whole block in numpy (the same operations, so the same
+floats), and then a decision in numpy.  Given the sds, the paper-mode lower
+end of V is a continuous, non-increasing function L of ``nz = n*z^2``
+(:func:`_log_lower_end`), and the engine's ``nz`` lies between those of the
+float contrast lowered and raised by a bound on its rounding error.  So a
+replication counts when L at the upper end reaches v, and cannot count when
+L at the lower end stays below v, each by a margin far above the float
+error.  Only the thin band between the two, and replications whose floats
+the decision does not cover, are decided by
+:func:`~evidential.engine.evidential_value`, so the estimate is the
+per-replication loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .engine import Mode, evidential_value, threshold_ratio
+from .engine import Mode, evidential_value
 from .geometry import CorrelationTriple, independence_variance
 from .ledger import StudySummary
 
@@ -206,12 +204,14 @@ _BLOCK = 256
 #: of 4*n draws each would exceed it, a block holds fewer
 _BLOCK_DRAWS = 1 << 20
 
-#: relative margin of the screen on threshold_ratio(v): orders of magnitude
-#: above the rounding of either side of the comparison
-_MARGIN = 1e-6
+#: half-width in log V of the band left to the engine: orders of magnitude
+#: above the float error (under 1e-12) of log(v), of log L and of the engine
+_LOG_TOL = 1e-9
 
-#: bound on |float contrast - decimal contrast| per unit of |x1|+2|x2|+|x3|
-_CONTRAST_SLACK = 4.0 * sys.float_info.epsilon
+#: |float contrast - decimal contrast| is below _SLACK * (|x1| + 2|x2| + |x3|)
+#: + _SLACK_FLOOR; the decision is made in numpy where the paper floor f and
+#: s0^2/f lie in (1/_SAFE, _SAFE), so that no step of it or of V overflows
+_SLACK, _SLACK_FLOOR, _SAFE = 4.0 * sys.float_info.epsilon, 2.0**-1070, 1e300
 
 #: numpy's SeedSequence hashing constants and PCG64's 128-bit multiplier,
 #: fixed by its documented seeding (NEP 19 keeps seeded streams stable)
@@ -291,6 +291,21 @@ def _standard_normals(out, seed, first, generator):
             default_rng((seed, first + i)).standard_normal(out=row)
 
 
+def _log_lower_end(nz, s0_sq, f):
+    """Elementwise log of the paper-mode lower end of V at ``n*z^2 = nz``,
+    for ``0 < f <= s0_sq``, f being the paper floor: 0 above ``s0_sq``, the
+    log of the supremum at variance nz down to f, and below f the log
+    density ratio at f.  The pieces meet at f and at ``s0_sq``, and their
+    slopes ``-(1/nz - 1/s0_sq)/2`` and ``-(1/f - 1/s0_sq)/2`` are at most 0,
+    so L is continuous and non-increasing in nz.
+    """
+    np = _numpy()
+    ratio = nz / s0_sq
+    middle = -0.5 * np.log(ratio) - 0.5 * (1.0 - ratio)
+    below = 0.5 * np.log(s0_sq / f) - 0.5 * nz * (1.0 / f - 1.0 / s0_sq)
+    return np.where(nz > s0_sq, 0.0, np.where(nz < f, below, middle))
+
+
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     """Estimate P(V >= v) under data integrity by Monte Carlo.
 
@@ -301,23 +316,16 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     lower bound reaches *v_threshold* (the conservative reading of an
     interval).  Replication k uses the random stream ``default_rng((seed,
     k))``, so the estimate is independent of scheduling and reproducible
-    bit-for-bit.  Replications run in blocks.  Where the seed and the
-    block's replication indices are below 2**32, the block's PCG64 states
-    are computed at once (:func:`_pcg64_states`) instead of building each
-    generator.  Only the replications that pass the threshold screen
-    described in the module docstring are evaluated one by one; the count
-    is that of evaluating every :func:`simulate_study`.
+    bit-for-bit.  Blocks of replications are decided in numpy from L at
+    both ends of the contrast's rounding interval (see the module
+    docstring); the count is that of evaluating every
+    :func:`simulate_study`.
     """
     if reps < 1000:
         raise ParameterError("reps must be at least 1000")
-    if not v_threshold > 1.0:
-        raise ParameterError("v_threshold must exceed 1")
-    params = ModelParams(
-        mu=(0.0, 0.0, 0.0),
-        sigma=tuple(sigma),
-        rho=CorrelationTriple(0.0, 0.0, 0.0),
-        n=int(n),
-    )
+    if not 1.0 < v_threshold < math.inf:
+        raise ParameterError("v must exceed 1 and be finite")
+    params = ModelParams(mu=(0.0, 0.0, 0.0), sigma=tuple(sigma), rho=(0.0, 0.0, 0.0), n=int(n))
     if params.n < 2:
         raise ParameterError("n >= 2 required for sample sd")
     seed = int(seed)
@@ -327,10 +335,7 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     generator = np.random.Generator(np.random.PCG64())
     mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]
-    n_float = float(params.n)
-    # an infinite v is reached only at a zero contrast: threshold 0
-    ratio = threshold_ratio(v_threshold) if v_threshold < math.inf else 0.0
-    cut_sq = max((ratio * (1.0 + _MARGIN)) ** 2, sys.float_info.min)
+    n_float, log_v = float(params.n), math.log(v_threshold)
     block_reps = max(1, min(_BLOCK, _BLOCK_DRAWS // (4 * params.n)))
     draws = np.empty((block_reps, 4, params.n))
     count = 0
@@ -342,41 +347,33 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
             data = mu + scale * block[:, 1:]
             means = data.mean(axis=2)
             sds = data.std(axis=2, ddof=1)
-            # The screen skips only replications that cannot count.
-            # evidential_value works from the floats s0_sq, computed as
-            # here, and nz_sq = n*z*z, z being the decimal contrast.  In
-            # every regime the lower end of V is at most the middle-regime
-            # value at nz_sq/s0_sq (the supremum over all variances), and
-            # that reaches v only if nz_sq/s0_sq <= ratio^2.  This float
-            # contrast is within 1.5*eps*(|x1| + 2|x2| + |x3|) of the
-            # exact one, and that within another eps*(...) of the decimal
-            # one (each mean's shortest repr is within half an ulp of it),
-            # so 0 <= z_low <= |z|; float rounding is monotone, so the
-            # ratio below is at most nz_sq/s0_sq.  (Where the sum is
-            # subnormal, n*z_low*z_low underflows to 0.)  A skipped ratio
-            # exceeds cut_sq, a normal float 2e-6 above ratio^2 in
-            # relative terms: far more than the few ulps by which rounding
-            # in the engine or in threshold_ratio can move the boundary.
-            # Invalid studies (an sd that overflowed or vanished) are never
-            # skipped, so building the first one raises the loop's error.
+            # The float contrast is within 1.5*eps*(|x1| + 2|x2| + |x3|) of
+            # the exact one, that within eps/2 of the sum plus 2**-1073 of
+            # the decimal z (a shortest repr is within half an ulp), so by
+            # monotone rounding the engine's nz = n*z*z lies between those
+            # of z_low and z_high, and V between L at the two.  The
+            # engine's floor (x**2, not x*x) may be an ulp off this f,
+            # which moves log L by eps/2.  Other rows, invalid ones among
+            # them, are built as studies: the first invalid one raises.
             x1, x2, x3 = means.T
-            slack = _CONTRAST_SLACK * (np.abs(x1) + 2.0 * np.abs(x2) + np.abs(x3))
-            z_low = np.maximum(np.abs(x1 - 2.0 * x2 + x3) - slack, 0.0)
-            skip = n_float * z_low * z_low / independence_variance(sds.T) > cut_sq
-            valid = np.isfinite(means).all(axis=1)
-            valid &= ((0.0 < sds) & (sds < math.inf)).all(axis=1)
-        means, sds = means.tolist(), sds.tolist()
-        for i in np.flatnonzero(~(skip & valid)).tolist():
-            study = StudySummary(
-                id="sim", n=n_float, means=tuple(means[i]), sds=tuple(sds[i])
-            )
+            slack = _SLACK * (np.abs(x1) + 2.0 * np.abs(x2) + np.abs(x3)) + _SLACK_FLOOR
+            contrast = np.abs(x1 - 2.0 * x2 + x3)
+            s1, s2, s3 = sds.T
+            s0_sq = independence_variance(sds.T)
+            root = np.sqrt(s1 * s1 + s3 * s3)
+            f = np.minimum((2.0 * s2 - (s1 + s3)) ** 2, (2.0 * s2 - root) ** 2)
+            decided = (np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)).all(axis=1)
+            decided &= (f <= s0_sq) & (f > 1.0 / _SAFE) & (s0_sq / f < _SAFE)
+            z_low, z_high = np.maximum(contrast - slack, 0.0), contrast + slack
+            low = _log_lower_end(n_float * z_low * z_low, s0_sq, f)
+            high = _log_lower_end(n_float * z_high * z_high, s0_sq, f)
+            counted = decided & (high >= log_v + _LOG_TOL)
+            band = ~(counted | decided & (low < log_v - _LOG_TOL))
+        count += int(np.count_nonzero(counted))
+        rows = np.flatnonzero(band)
+        for row_means, row_sds in zip(means[rows].tolist(), sds[rows].tolist()):
+            study = StudySummary(id="sim", n=n_float, means=tuple(row_means), sds=tuple(row_sds))
             if evidential_value(study, Mode.PAPER).lower >= v_threshold:
                 count += 1
     p = count / reps
-    return SimulationReport(
-        reps=reps,
-        seed=seed,
-        v_threshold=float(v_threshold),
-        exceed_prob=p,
-        mc_stderr=math.sqrt(p * (1.0 - p) / reps),
-    )
+    return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

@@ -7,12 +7,17 @@ shares code with the production closed form
 * :func:`numeric_infimum_sq`, a grid-seeded coordinate and Newton solver
   over the boundary of the correlation body;
 * :func:`brute_force_infimum_sq`, an exhaustive angle scan with zooming.
+
+:func:`conditional_null_tail` is the model reference for the Monte Carlo
+estimate of :func:`evidential.simulate.null_exceedance`.
 """
 
 import math
 
 import numpy as np
+from scipy.special import erf
 
+from evidential.engine import threshold_ratio
 from evidential.ledger import StudySummary
 
 
@@ -216,6 +221,35 @@ def brute_force_infimum_sq(sds, coarse_step=0.002, zoom_rounds=4):
         best_val, best_u, best_w = float(grid[i, j]), float(us[i]), float(ws[j])
         span /= 20.0
     return max(0.0, s0_sq + best_val)
+
+
+def conditional_null_tail(v, n, sigma, draws, seed):
+    """P(V >= v) under integrity at sample size *n* and cell sds *sigma*,
+    by conditioning on the sample sds.
+
+    For normal data the sample sds are independent of the means, and
+    given them the paper-mode lower end of V is non-increasing in
+    ``n*z^2``, so ``V >= v`` iff ``n*z^2 <= t(s, v)``: ``t`` is
+    ``threshold_ratio(v)^2 * s0^2`` in the middle regime and
+    ``(log(s0^2/f) - 2*log(v)) / (1/f - 1/s0^2)`` (at least 0) below the
+    paper floor f.  As ``n*z^2 / sigma0^2`` is chi-square with one degree
+    of freedom, ``P(V >= v | s) = erf(sqrt(t / (2*sigma0^2)))``; this
+    averages it over *draws* sds triples ``s_i^2 ~ sigma_i^2 *
+    chi2(n-1) / (n-1)`` from ``default_rng(seed)``.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    chi2 = np.random.default_rng(seed).chisquare(n - 1, size=(draws, 3))
+    s1, s2, s3 = (sigma * np.sqrt(chi2 / (n - 1))).T
+    s0_sq = s1 * s1 + 4.0 * s2 * s2 + s3 * s3
+    floor_sq = np.minimum(
+        (2.0 * s2 - (s1 + s3)) ** 2, (2.0 * s2 - np.sqrt(s1 * s1 + s3 * s3)) ** 2
+    )
+    middle = threshold_ratio(v) ** 2 * s0_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = (np.log(s0_sq / floor_sq) - 2.0 * math.log(v)) / (1.0 / floor_sq - 1.0 / s0_sq)
+    t = np.where(middle >= floor_sq, middle, np.maximum(below, 0.0))
+    sigma0_sq = sigma[0] ** 2 + 4.0 * sigma[1] ** 2 + sigma[2] ** 2
+    return float(np.mean(erf(np.sqrt(t / (2.0 * sigma0_sq)))))
 
 
 def random_sds(rng, low=0.1, high=10.0):

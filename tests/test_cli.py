@@ -321,6 +321,25 @@ def test_simulate_command_rejects_bad_sigma():
         assert (code, out, err) == (2, "", f"error: {problem}\n"), sigma
 
 
+def test_simulate_command_labels_v_so_that_it_reads_back():
+    # %g where it reads back as v (so 2 stays "2"), repr where %g rounds
+    for v, label in (("2", "2"), ("1e300", "1e+300"),
+                     ("1.0000001", "1.0000001"), ("2.0000001", "2.0000001")):
+        code, out, _ = run(["simulate", "--n", "5", "--sigma", "1,1,1", "--v", v,
+                            "--reps", "1000", "--seed", "1"])
+        assert code == 0
+        first, second = out.splitlines()
+        assert first == f"reps: 1000  seed: 1  v: {label}"
+        assert second.startswith(f"P(V >= {label}) = 0."), out
+
+
+def test_simulate_command_refuses_a_non_finite_v():
+    for v in ("inf", "1e400", "nan"):
+        code, out, err = run(["simulate", "--n", "20", "--sigma", "1,1,1", "--v", v,
+                              "--reps", "1000", "--seed", "1"])
+        assert (code, out, err) == (2, "", "error: v must exceed 1 and be finite\n"), v
+
+
 # --- entry point -------------------------------------------------------------------
 
 def test_main_dispatches(capsys):

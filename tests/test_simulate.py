@@ -16,6 +16,8 @@ from evidential.simulate import (
     simulate_study,
 )
 
+from helpers import conditional_null_tail
+
 RHO_HALF = CorrelationTriple(0.5, 0.5, 0.5)
 NULL_RHO = CorrelationTriple(0.0, 0.0, 0.0)
 
@@ -220,10 +222,18 @@ def test_null_exceedance_equals_the_per_replication_loop():
     from evidential import simulate
     from evidential.engine import Mode, evidential_value
 
-    thresholds = (1.5, 2.0, 10.0, 1e6)
+    # log(1 + 2**-52) is far inside the band, log(1e300) far outside it
+    thresholds = (1.0 + 2.0**-52, 1.5, 2.0, 10.0, 1e6, 1e300)
     # (0.01, 1, 100) never reaches v; (1.5, 0.7, 2) has a paper floor
-    # that n*z^2 falls below in about a third of the replications
-    sigmas = ((1.0, 1.0, 1.0), (0.01, 1.0, 100.0), (1.5, 0.7, 2.0))
+    # that n*z^2 falls below in about a third of the replications; the
+    # last two have sds 300 decimal orders apart
+    sigmas = (
+        (1.0, 1.0, 1.0),
+        (0.01, 1.0, 100.0),
+        (1.5, 0.7, 2.0),
+        (1e-150, 1.0, 1e-150),
+        (1e150, 1.0, 1.0),
+    )
     cases = [(n, sigma, thresholds, 23) for n in (2, 5, 20) for sigma in sigmas]
     # at n = 1100 a block holds fewer replications, to bound its memory
     cases.append((1100, sigmas[0], (2.0,), 23))
@@ -267,11 +277,69 @@ def test_block_seeding_draws_the_default_rng_streams():
             assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), (seed, first)
 
 
+def count_engine_calls(monkeypatch):
+    # wraps the engine call that null_exceedance leaves to band replications
+    from evidential import simulate
+
+    calls = []
+    evaluate = simulate.evidential_value
+
+    def counting(study, mode):
+        calls.append(study)
+        return evaluate(study, mode)
+
+    monkeypatch.setattr(simulate, "evidential_value", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [(1.0, 1.0, 1.0), (1.5, 0.7, 2.0)])
+def test_null_exceedance_decides_almost_every_replication_in_numpy(monkeypatch, sigma):
+    # a tripwire: the numpy decision leaves only a thin band to the engine
+    from evidential import simulate
+
+    calls = count_engine_calls(monkeypatch)
+    reps = 4 * simulate._BLOCK + 1
+    null_exceedance(n=20, sigma=sigma, v_threshold=2.0, reps=reps, seed=42)
+    assert len(calls) <= 0.01 * reps
+
+
+def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
+    # an infinite tolerance leaves every replication to the engine
+    from evidential import simulate
+    from evidential.engine import Mode, evidential_value
+
+    p = ModelParams(mu=(0, 0, 0), sigma=(1.5, 0.7, 2.0), rho=NULL_RHO, n=20)
+    lowers = [
+        evidential_value(simulate_study(p, seed=(5, rep)), Mode.PAPER).lower
+        for rep in range(1000)
+    ]
+    calls = count_engine_calls(monkeypatch)
+    monkeypatch.setattr(simulate, "_LOG_TOL", math.inf)
+    for v in (1.5, 2.0, 10.0):
+        calls.clear()
+        report = null_exceedance(n=20, sigma=p.sigma, v_threshold=v, reps=1000, seed=5)
+        assert len(calls) == 1000
+        assert report.exceed_prob == sum(lower >= v for lower in lowers) / 1000, v
+
+
+@pytest.mark.parametrize(
+    "n, sigma", [(20, (1, 1, 1)), (5, (1, 1, 1)), (2, (1, 1, 1)), (20, (1.5, 0.7, 2))]
+)
+def test_null_exceedance_agrees_with_the_conditional_null_tail(n, sigma):
+    # an independent model check: given the sds, V >= v iff n*z^2 <= t, a
+    # chi-square(1) event; its average over the sds' law is what simulate
+    # estimates (the conditional average's own error is about 0.0003)
+    report = null_exceedance(n=n, sigma=sigma, v_threshold=2.0, reps=20_000, seed=8)
+    expected = conditional_null_tail(2.0, n, sigma, draws=200_000, seed=8)
+    assert abs(report.exceed_prob - expected) <= 4 * report.mc_stderr, (report, expected)
+
+
 def test_null_exceedance_parameter_errors():
     with pytest.raises(ParameterError, match="reps"):
         null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=0, seed=1)
-    with pytest.raises(ParameterError, match="v_threshold"):
-        null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=1.0, reps=2000, seed=1)
+    for v in (1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="^v must exceed 1 and be finite$"):
+            null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=v, reps=2000, seed=1)
     with pytest.raises(ParameterError, match="n >= 2"):
         null_exceedance(n=1, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=1)
     with pytest.raises(ParameterError, match="^seed must be a non-negative integer$"):

@@ -9,10 +9,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from . import engine, ledger, simulate
+from . import engine, geometry, ledger, simulate
 
 SCHEMA_VERSION = 1
 
@@ -20,12 +20,19 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_INPUT = 2
 
+#: 320 digits hold any finite float (the default 28 overflow at ~1e26)
+_WIDE = Context(prec=320)
+_CENT = Decimal("0.01")
+
 
 def _round2(x: float) -> str:
-    # table values round half-up to 2 decimals, like the published tables;
-    # 320 digits hold any finite float (the default 28 overflow at ~1e26)
-    context = Context(prec=320)
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_HALF_UP, context))
+    # table values round half-up to 2 decimals, like the published tables
+    return str(Decimal(repr(x)).quantize(_CENT, ROUND_HALF_UP, _WIDE))
+
+
+def _arithmetic(exc: ArithmeticError) -> str:
+    # an OverflowError from ** reads only "(34, 'Numerical result out of range')"
+    return f"overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else str(exc)
 
 
 def _fmt_bound(x: float) -> str:
@@ -49,27 +56,24 @@ def render_value(ev: engine.EvidentialValue) -> str:
     return f"{lo}–{hi}"
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One rendered study of a compute report: its inputs and what they gave."""
+class ReportRow(namedtuple("ReportRow", "study value v_rendered z_v z_c notes")):
+    """One rendered study of a compute report: its StudySummary, and the
+    EvidentialValue, rendered V, Z_V, Z_C and notes it gave."""
 
-    study: ledger.StudySummary
-    value: engine.EvidentialValue
-    v_rendered: str
-    z_v: float
-    z_c: float
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
-def build_rows(studies, mode: engine.Mode) -> list[ReportRow]:
+def build_rows(studies, mode: engine.Mode | str) -> list[ReportRow]:
     """Evaluate each study; an arithmetic failure is a ValueError naming it."""
+    mode = engine.Mode(mode)
     rows = []
     for study in studies:
         try:
-            ev = engine.evidential_value(study, mode)
-            z_v, z_c = engine.z_v_statistic(study), engine.z_c_statistic(study)
+            profile = geometry.variance_profile(study)
+            ev = engine.profile_value(profile, mode)
+            z_v, z_c = engine.profile_z_statistics(study, profile)
         except ArithmeticError as exc:
-            raise ValueError(f"study '{study.id}': {exc}") from exc
+            raise ValueError(f"study '{study.id}': {_arithmetic(exc)}") from exc
         notes = tuple(ledger.study_warnings(study))
         rows.append(ReportRow(study, ev, render_value(ev), z_v, z_c, notes))
     return rows
@@ -183,9 +187,8 @@ def cmd_compute(args, out=None, err=None) -> int:
     if not len(led):
         err.write("error: no studies\n")
         return EXIT_INPUT
-    mode = engine.Mode(args.mode)
     try:
-        rows = build_rows(led, mode)
+        rows = build_rows(led, args.mode)
         combined = engine.combine(
             [(r.study.id, r.value) for r in rows], prior_odds=args.prior_odds
         )
@@ -227,6 +230,9 @@ def cmd_simulate(args, out=None, err=None) -> int:
     except (simulate.ParameterError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        err.write(f"error: {_arithmetic(exc)}\n")
+        return EXIT_COMPUTE
     # the shortest label that reads back as v: %g unless it rounds v
     v = f"{report.v_threshold:g}"
     v = v if float(v) == report.v_threshold else repr(report.v_threshold)

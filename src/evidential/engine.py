@@ -35,11 +35,11 @@ V is never below 1: this screen produces no exculpatory evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence, Union
 
-from .geometry import contrast, independence_variance, variance_profile
+from .geometry import variance_profile
 
 __all__ = [
     "Case",
@@ -51,6 +51,8 @@ __all__ = [
     "evidential_value",
     "null_tail_probability",
     "plugin_density",
+    "profile_value",
+    "profile_z_statistics",
     "threshold_ratio",
     "z_c_statistic",
     "z_v_statistic",
@@ -74,8 +76,7 @@ class Case(str, Enum):
     ABOVE = "above"
 
 
-@dataclass(frozen=True)
-class EvidentialValue:
+class EvidentialValue(namedtuple("EvidentialValue", "lower upper case mode")):
     """A point value (lower == upper) or interval for V.
 
     ``math.inf`` is the distinguished unbounded upper end; it is produced
@@ -83,10 +84,7 @@ class EvidentialValue:
     an overflow artifact.
     """
 
-    lower: float
-    upper: float
-    case: Case
-    mode: Mode
+    __slots__ = ()
 
     @property
     def is_point(self) -> bool:
@@ -118,15 +116,18 @@ def _floor_value(nz_sq: float, floor_sq: float, s0_sq: float) -> float:
     )
 
 
-def evidential_value(study, mode: Union[Mode, str] = Mode.PAPER) -> EvidentialValue:
+def evidential_value(study, mode: Mode | str = Mode.PAPER) -> EvidentialValue:
     """Evidential value of one study in favor of fabrication.
 
     ``paper`` mode reproduces the published bounds; ``exact`` mode uses the
     closed-form variance infimum and always returns a point value
     (possibly the distinguished unbounded one).
     """
-    mode = Mode(mode)
-    profile = variance_profile(study)
+    return profile_value(variance_profile(study), Mode(mode))
+
+
+def profile_value(profile, mode: Mode) -> EvidentialValue:
+    """:func:`evidential_value` from a study's variance *profile*."""
     s0_sq = profile.s0_sq
     nz_sq = profile.nz_sq
     floor_sq = profile.exact_lower_sq if mode is Mode.EXACT else profile.paper_lower_sq
@@ -154,15 +155,20 @@ def z_v_statistic(study) -> float:
     Approximately standard normal when the cell means follow the linear
     constraint; values near zero are what inflate the evidential value.
     """
-    s0 = math.sqrt(independence_variance(study.sds))
-    return math.sqrt(study.n) * contrast(study.means) / s0
+    return profile_z_statistics(study, variance_profile(study))[0]
 
 
 def z_c_statistic(study) -> float:
     """Standardized contrast with pooled denominator sqrt(2*(s1^2+s2^2+s3^2))."""
+    return profile_z_statistics(study, variance_profile(study))[1]
+
+
+def profile_z_statistics(study, profile) -> tuple[float, float]:
+    """``(Z_V, Z_C)`` of *study* from its variance *profile*."""
     s1, s2, s3 = study.sds
-    denom = math.sqrt(2.0 * (s1 * s1 + s2 * s2 + s3 * s3))
-    return math.sqrt(study.n) * contrast(study.means) / denom
+    root_n_z = math.sqrt(study.n) * profile.z
+    pooled = math.sqrt(2.0 * (s1 * s1 + s2 * s2 + s3 * s3))
+    return root_n_z / math.sqrt(profile.s0_sq), root_n_z / pooled
 
 
 def threshold_ratio(v: float) -> float:
@@ -212,16 +218,16 @@ def empirical_tail_fraction(values: Sequence[EvidentialValue], v: float) -> floa
     return sum(1 for ev in values if ev.lower >= v) / len(values)
 
 
-@dataclass(frozen=True)
-class CombinedEvidence:
-    """Product of per-study evidential values and the resulting odds."""
+class CombinedEvidence(
+    namedtuple(
+        "CombinedEvidence",
+        "per_study product_lower product_upper prior_odds"
+        " posterior_odds_lower posterior_odds_upper",
+    )
+):
+    """Product of per-study ``(id, EvidentialValue)`` pairs and the resulting odds."""
 
-    per_study: tuple[tuple[str, EvidentialValue], ...]
-    product_lower: float
-    product_upper: float
-    prior_odds: float
-    posterior_odds_lower: float
-    posterior_odds_upper: float
+    __slots__ = ()
 
 
 def combine(values, prior_odds: float = 1.0) -> CombinedEvidence:

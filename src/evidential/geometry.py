@@ -28,7 +28,7 @@ collects the scale quantities of a study in one :class:`VarianceProfile`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context, Decimal
 
 __all__ = [
@@ -73,8 +73,7 @@ def is_interior(rho) -> bool:
     return all(abs(r) < 1.0 for r in rho) and elliptope_det(rho) > 0.0
 
 
-@dataclass(frozen=True)
-class CorrelationTriple:
+class CorrelationTriple(namedtuple("CorrelationTriple", "rho1 rho2 rho3")):
     """An admissible correlation triple (strict interior point).
 
     Boundary points (``det == 0`` or ``|rho_i| == 1``) are deliberately not
@@ -82,19 +81,18 @@ class CorrelationTriple:
     model parameters must be proper correlation matrices.
     """
 
-    rho1: float
-    rho2: float
-    rho3: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rho1, rho2, rho3):
+        self = super().__new__(cls, rho1, rho2, rho3)
         if not is_interior(self):
             raise ValueError(
-                f"({self.rho1}, {self.rho2}, {self.rho3}) is not an interior "
+                f"({rho1}, {rho2}, {rho3}) is not an interior "
                 "correlation triple: need |rho_i| < 1 and det > 0"
             )
+        return self
 
-    def __iter__(self):
-        return iter((self.rho1, self.rho2, self.rho3))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
 def independence_variance(sds) -> float:
@@ -199,8 +197,7 @@ def exact_infimum_sq(sds) -> float:
     return max(0.0, deficit) ** 2
 
 
-@dataclass(frozen=True)
-class VarianceProfile:
+class VarianceProfile(namedtuple("VarianceProfile", "s0_sq paper_lower_sq exact_lower_sq z nz_sq")):
     """Derived scale quantities of one study.
 
     ``s0_sq`` is the contrast variance at independence, ``paper_lower_sq``
@@ -209,11 +206,7 @@ class VarianceProfile:
     The chain ``exact_lower_sq <= paper_lower_sq <= s0_sq`` always holds.
     """
 
-    s0_sq: float
-    paper_lower_sq: float
-    exact_lower_sq: float
-    z: float
-    nz_sq: float
+    __slots__ = ()
 
 
 def variance_profile(study) -> VarianceProfile:

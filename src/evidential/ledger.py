@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,42 +33,43 @@ class LedgerError(ValueError):
         self.study_id = study_id
 
 
-@dataclass(frozen=True)
-class StudySummary:
+class StudySummary(namedtuple("StudySummary", "id n means sds")):
     """Summary statistics of one three-cell study, valid by construction.
 
     ``n`` is a positive real, not an integer: published tables often report
     a total sample size over unequal cells, so the per-cell size is a
-    quotient like 141/6 = 23.5.
+    quotient like 141/6 = 23.5.  ``means`` and ``sds`` are tuples of floats.
 
     Construction runs :func:`validate` and raises one :class:`LedgerError`
     (``study '<id>': <violation>; ...``, with ``study_id`` set) when the
-    numbers break an invariant.  Every study that exists is therefore
-    valid, and no evaluation checks it again.
+    numbers break an invariant; ``_make`` and ``_replace`` construct
+    through it too.  Every study that exists is therefore valid, and no
+    evaluation checks it again.
     """
 
-    id: str
-    n: float
-    means: tuple[float, float, float]
-    sds: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "means", tuple(float(x) for x in self.means))
-        object.__setattr__(self, "sds", tuple(float(s) for s in self.sds))
+    def __new__(cls, id, n, means, sds):
+        self = super().__new__(cls, id, n, tuple(map(float, means)), tuple(map(float, sds)))
         problems = validate(self)
         if problems:
-            raise LedgerError(f"study '{self.id}': " + "; ".join(problems), study_id=self.id)
+            raise LedgerError(f"study '{id}': " + "; ".join(problems), study_id=id)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
-@dataclass(frozen=True)
 class StudyLedger:
-    """An ordered collection of studies with unique ids."""
+    """An ordered, read-only collection of studies with unique ids."""
 
-    studies: tuple[StudySummary, ...]
-    source: str = "<unknown>"
+    __slots__ = ("studies", "source")
 
-    def __post_init__(self):
-        object.__setattr__(self, "studies", tuple(self.studies))
+    def __init__(self, studies, source: str = "<unknown>"):
+        object.__setattr__(self, "studies", tuple(studies))
+        object.__setattr__(self, "source", source)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to StudyLedger.{name}")
 
     def __len__(self):
         return len(self.studies)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import Mode, evidential_value
 from .geometry import CorrelationTriple, independence_variance
@@ -86,29 +86,27 @@ class ParameterError(ValueError):
     """Invalid simulation parameters."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Ground-truth parameters of one simulated study."""
+class ModelParams(namedtuple("ModelParams", "mu sigma rho n")):
+    """Ground-truth parameters of one simulated study, checked when made."""
 
-    mu: tuple[float, float, float]
-    sigma: tuple[float, float, float]
-    rho: CorrelationTriple
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(float(x) for x in self.mu))
-        object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
-        if not isinstance(self.rho, CorrelationTriple):
-            object.__setattr__(self, "rho", CorrelationTriple(*self.rho))
-        if len(self.mu) != 3 or len(self.sigma) != 3:
+    def __new__(cls, mu, sigma, rho, n):
+        mu = tuple(float(x) for x in mu)
+        sigma = tuple(float(s) for s in sigma)
+        if not isinstance(rho, CorrelationTriple):
+            rho = CorrelationTriple(*rho)
+        if len(mu) != 3 or len(sigma) != 3:
             raise ParameterError("mu and sigma must have exactly three entries")
-        if not all(math.isfinite(x) for x in self.mu + self.sigma):
+        if not all(math.isfinite(x) for x in mu + sigma):
             raise ParameterError("mu and sigma must be finite")
-        if any(s <= 0 for s in self.sigma):
+        if any(s <= 0 for s in sigma):
             raise ParameterError("sigma must be positive")
-        if int(self.n) != self.n or self.n < 1:
+        if int(n) != n or n < 1:
             raise ParameterError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        return super().__new__(cls, mu, sigma, rho, int(n))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
 def copy_probabilities(rho) -> tuple[float, float, float]:
@@ -184,15 +182,12 @@ def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummar
     )
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(
+    namedtuple("SimulationReport", "reps seed v_threshold exceed_prob mc_stderr")
+):
     """Monte Carlo estimate of a null exceedance probability."""
 
-    reps: int
-    seed: int
-    v_threshold: float
-    exceed_prob: float
-    mc_stderr: float
+    __slots__ = ()
 
 
 #: replications drawn and summarized together: enough to spread numpy's
@@ -277,13 +272,12 @@ def _standard_normals(out, seed, first, generator):
     """
     if seed < _WORD and first + len(out) <= _WORD:
         bits, normal = generator.bit_generator, generator.standard_normal
-        for row, (state, inc) in zip(out, _pcg64_states(seed, first, len(out))):
-            bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        # PCG64 copies the numbers out of the dict, so one dict serves the block
+        inner = {}
+        state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+        states = _pcg64_states(seed, first, len(out))
+        for row, (inner["state"], inner["inc"]) in zip(out, states):
+            bits.state = state
             normal(out=row)
     else:
         default_rng = _numpy().random.default_rng

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -87,6 +88,29 @@ def test_compute_reference_rendered_column(reference):
     rows = build_rows(reference, Mode.PAPER)
     got = {r.study.id: r.v_rendered for r in rows}
     assert got == REFERENCE_RENDERED
+
+
+def test_records_are_read_only(reference):
+    from evidential.cli import build_rows
+    from evidential.geometry import CorrelationTriple, variance_profile
+    from evidential.simulate import ModelParams, SimulationReport
+
+    study = reference.studies[0]
+    records = [
+        study,
+        reference,
+        variance_profile(study),
+        CorrelationTriple(0.0, 0.0, 0.0),
+        evidential_value(study),
+        combine([evidential_value(study)]),
+        ModelParams((0, 0, 0), (1, 1, 1), (0, 0, 0), 20),
+        SimulationReport(1000, 1, 2.0, 0.25, 0.01),
+        build_rows([study], Mode.PAPER)[0],
+    ]
+    for record in records:
+        for name in (*getattr(record, "_fields", ("studies", "source")), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
 
 
 def test_compute_table_is_byte_stable(suspect_csv):
@@ -184,11 +208,37 @@ def test_compute_rejects_prior_odds_that_are_not_positive_and_finite(
 
 
 def test_compute_arithmetic_failure_names_the_study(tmp_path):
-    # sds whose squares underflow: s0 is 0.0 and Z_V divides by it
-    path = tmp_path / "tiny.csv"
-    path.write_bytes(HEADER_LINE + b"a,20,1e-200,0,0,1e-200,2e-200,1e-200\n")
-    code, out, err = run(["compute", "--input", str(path)])
-    assert (code, out, err) == (1, "", "error: study 'a': float division by zero\n")
+    for row, problem in (
+        # sds whose squares underflow: s0 is 0.0 and Z_V divides by it
+        (b"a,20,1e-200,0,0,1e-200,2e-200,1e-200", "float division by zero"),
+        # the paper floor's square overflows
+        (b"a,20,0,0,0,1e154,1e150,1e154", "overflow: Numerical result out of range"),
+    ):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(HEADER_LINE + row + b"\n")
+        code, out, err = run(["compute", "--input", str(path)])
+        assert (code, out, err) == (1, "", f"error: study 'a': {problem}\n")
+
+
+def test_build_rows_computes_one_contrast_per_study(monkeypatch, reference):
+    from evidential import geometry
+    from evidential.cli import build_rows
+
+    calls = []
+    original = geometry.contrast
+
+    def counted(means):
+        calls.append(means)
+        return original(means)
+
+    # every module binding of contrast, as a tracer would see it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("evidential.") and getattr(module, "contrast", None) is original:
+            monkeypatch.setattr(module, "contrast", counted)
+    for mode in (Mode.PAPER, Mode.EXACT):
+        calls.clear()
+        build_rows(reference, mode)
+        assert len(calls) == len(reference), mode
 
 
 def test_compute_reads_a_byte_order_mark(tmp_path, suspect_csv):
@@ -319,6 +369,13 @@ def test_simulate_command_rejects_bad_sigma():
             code, out, err = run(["simulate", "--n", n, "--sigma", sigma,
                                   "--reps", "2000", "--seed", "1"])
         assert (code, out, err) == (2, "", f"error: {problem}\n"), sigma
+
+
+def test_simulate_command_reports_an_overflow():
+    # the paper floor of a band replication overflows its square
+    code, out, err = run(["simulate", "--n", "2", "--sigma", "1e154,1e154,1e154",
+                          "--reps", "1000", "--seed", "3"])
+    assert (code, out, err) == (1, "", "error: overflow: Numerical result out of range\n")
 
 
 def test_simulate_command_labels_v_so_that_it_reads_back():

@@ -62,6 +62,10 @@ def test_correlation_triple_enforces_interior():
         CorrelationTriple(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         CorrelationTriple(0.95, 0.95, 0.1)
+    with pytest.raises(ValueError):
+        CorrelationTriple(0.0, 0.0, 0.0)._replace(rho1=1.0)
+    with pytest.raises(ValueError):
+        CorrelationTriple._make((0.95, 0.95, 0.1))
 
 
 def test_combined_sd_examples():

@@ -33,3 +33,14 @@ def test_cli_import_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # records are named tuples: dataclasses and the inspect it pulls in
+    # cost about a third of the import
+    proc = _run(
+        "import sys, evidential.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

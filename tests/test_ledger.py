@@ -186,6 +186,25 @@ def test_validate_examples():
             StudySummary("x", n, means, sds)
 
 
+def test_replace_and_make_validate_like_the_constructor():
+    assert GOOD._replace(n=30).n == 30.0
+    assert StudySummary._make(("m", 20, [1, 2, 3], [1, 1, 1])).means == (1.0, 2.0, 3.0)
+    for make in (
+        lambda: StudySummary("good", -1.0, (1, 2, 3), (1, 1, 1)),
+        lambda: GOOD._replace(n=-1.0),
+        lambda: StudySummary._make(("good", -1.0, (1, 2, 3), (1, 1, 1))),
+    ):
+        with pytest.raises(LedgerError, match="study 'good': n must be positive"):
+            make()
+
+
+def test_ledger_length_and_iteration():
+    led = StudyLedger([GOOD, ALSO_GOOD], source="s")
+    assert len(led) == 2 and list(led) == [GOOD, ALSO_GOOD] and led.studies == (GOOD, ALSO_GOOD)
+    assert len(StudyLedger(())) == 0 and list(StudyLedger(())) == []
+    assert StudyLedger(()).source == "<unknown>"
+
+
 def test_warnings_flag_noninteger_and_tiny_n():
     s = StudySummary("w", 23.5, (1, 2, 3), (1, 1, 1))
     assert any("not an integer" in w for w in study_warnings(s))

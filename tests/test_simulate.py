@@ -65,6 +65,9 @@ def test_model_params_validation():
         params(sigma=(1, -1, 1))
     with pytest.raises(ParameterError, match="positive integer"):
         params(n=0)
+    with pytest.raises(ParameterError, match="positive integer"):
+        params()._replace(n=0)
+    assert params()._replace(n=5.0).n == 5 and type(params()._replace(n=5.0).n) is int
     with pytest.raises(ValueError):
         params(rho=(1.0, 1.0, 1.0))  # boundary triple is not admissible
     for bad in (math.nan, math.inf, -math.inf):

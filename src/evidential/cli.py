@@ -30,8 +30,8 @@ def _round2(x: float) -> str:
     return str(Decimal(repr(x)).quantize(_CENT, ROUND_HALF_UP, _WIDE))
 
 
-def _arithmetic(exc: ArithmeticError) -> str:
-    # an OverflowError from ** reads only "(34, 'Numerical result out of range')"
+def _arithmetic(exc: Exception) -> str:
+    # an OverflowError from math.exp reads only "math range error"
     return f"overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else str(exc)
 
 
@@ -71,11 +71,10 @@ def build_rows(studies, mode: engine.Mode | str) -> list[ReportRow]:
         try:
             profile = geometry.variance_profile(study)
             ev = engine.profile_value(profile, mode)
-            z_v, z_c = engine.profile_z_statistics(study, profile)
         except ArithmeticError as exc:
             raise ValueError(f"study '{study.id}': {_arithmetic(exc)}") from exc
         notes = tuple(ledger.study_warnings(study))
-        rows.append(ReportRow(study, ev, render_value(ev), z_v, z_c, notes))
+        rows.append(ReportRow(study, ev, render_value(ev), profile.z_v, profile.z_c, notes))
     return rows
 
 
@@ -149,8 +148,8 @@ def _render_json(rows, combined, tail_v, tail_fraction, source, errors, out):
                 "v_upper": _json_bound(r.value.upper),
                 "v_rendered": r.v_rendered,
                 "case": r.value.case.value,
-                "z_v": r.z_v,
-                "z_c": r.z_c,
+                "z_v": _json_bound(r.z_v),
+                "z_c": _json_bound(r.z_c),
                 "notes": list(r.notes),
             }
             for r in rows
@@ -194,8 +193,8 @@ def cmd_compute(args, out=None, err=None) -> int:
         )
         tail_v = 2.0
         tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
+    except (ValueError, ArithmeticError) as exc:
+        err.write(f"error: {_arithmetic(exc)}\n")
         return EXIT_COMPUTE
     if args.format == "json":
         _render_json(rows, combined, tail_v, tail, led.source, errors, out)

@@ -9,24 +9,27 @@ cell standard deviations plugged in as known scales:
     V = sup_{admissible rho, s(rho) <= s0} f_n(z; s(rho)) / f_n(z; s0)
 
 where ``f_n(z; s)`` is the N(0, s^2/n) density and ``s0^2 = s1^2 + 4*s2^2
-+ s3^2``.  Because the achievable variances form the interval
-[s_L^2, s0^2], the supremum has three regimes, keyed on where ``n*z^2``
-falls relative to that interval:
++ s3^2``.  The achievable contrast variances form the interval
+[s_L^2, s0^2], so V depends on a study only through ``r = sqrt(n)*|z|/s0``
+(which is ``|Z_V|``) and ``q = s_L/s0``.  The density is largest at the
+achievable sd nearest ``sqrt(n)*|z|``, that is at ``s*s0`` with
+``s = min(1, max(r, q))``, and one formula covers every regime:
 
-* ``above``  (n z^2 >= s0^2): V = 1, the data are at least as dispersed
+    log V = -log(s) + (r^2 - (r/s)^2) / 2
+
+The regimes are named after where r falls:
+
+* ``above``  (r > 1, so s = 1): V = 1, the data are at least as dispersed
   as independence predicts; nothing to explain.
-* ``middle`` (lower bound <= n z^2 <= s0^2): the supremum is attained at
-  variance n z^2, giving the closed form
-  ``V = sqrt(s0^2 / (n z^2)) * exp(-(1 - n z^2 / s0^2) / 2)``.
-* ``below``  (n z^2 < lower bound): the density is decreasing in the
-  variance on the achievable interval, so the supremum sits at the
-  variance floor.
+* ``middle`` (q <= r <= 1, so s = r): ``V = exp(-log(r) + (r^2 - 1)/2)``.
+* ``below``  (r < q, so s = q): the density is decreasing in the variance
+  on the achievable interval, so the supremum sits at the variance floor.
 
 In ``paper`` mode the floor is the computable proxy
 :func:`~evidential.geometry.paper_lower_bound_sq`, which is only an upper
 bound for the true floor, so the below-regime yields an interval
-[value at proxy floor, unconstrained maximum].  In ``exact`` mode the
-floor is the closed-form infimum
+[value at proxy floor, unconstrained maximum at ``s = min(1, r)``].  In
+``exact`` mode the floor is the closed-form infimum
 :func:`~evidential.geometry.exact_infimum_sq` and the below-regime
 collapses to a point.
 V is never below 1: this screen produces no exculpatory evidence.
@@ -49,10 +52,10 @@ __all__ = [
     "combine",
     "empirical_tail_fraction",
     "evidential_value",
+    "log_value",
     "null_tail_probability",
     "plugin_density",
     "profile_value",
-    "profile_z_statistics",
     "threshold_ratio",
     "z_c_statistic",
     "z_v_statistic",
@@ -81,7 +84,8 @@ class EvidentialValue(namedtuple("EvidentialValue", "lower upper case mode")):
 
     ``math.inf`` is the distinguished unbounded upper end; it is produced
     deliberately (zero contrast with a vanishing variance floor), never as
-    an overflow artifact.
+    an overflow artifact: a V beyond the float range raises
+    ``OverflowError``.
     """
 
     __slots__ = ()
@@ -104,16 +108,23 @@ def plugin_density(z: float, n: float, s_sq: float) -> float:
     return math.sqrt(n / (2.0 * math.pi * s_sq)) * math.exp(-n * z * z / (2.0 * s_sq))
 
 
-def _point_value(nz_sq: float, s0_sq: float) -> float:
-    # supremum attained at variance nz_sq (requires 0 < nz_sq <= s0_sq)
-    return math.sqrt(s0_sq / nz_sq) * math.exp(-0.5 * (1.0 - nz_sq / s0_sq))
+def log_value(r: float, q: float) -> float:
+    """log V of a study with ``|Z_V| = r`` and variance floor ``(q*s0)^2``.
+
+    ``-log(s) + (r^2 - (r/s)^2)/2`` with ``s = min(1, max(r, q))``, for
+    ``r >= 0`` and ``0 <= q <= 1``, not both zero.  It is continuous and
+    non-increasing in r and in q.
+    """
+    r = min(r, 1.0)  # V = 1 from r = 1 on; this keeps r^2 finite
+    s = max(r, q)
+    t = r / s
+    return -math.log(s) + 0.5 * (r * r - t * t)
 
 
-def _floor_value(nz_sq: float, floor_sq: float, s0_sq: float) -> float:
-    # density ratio at the variance floor (requires floor_sq > 0)
-    return math.sqrt(s0_sq / floor_sq) * math.exp(
-        -0.5 * nz_sq * (1.0 / floor_sq - 1.0 / s0_sq)
-    )
+def _value(r, q):
+    # the density ratio grows without bound as the variance drops to zero
+    # at a zero contrast; math.exp raises OverflowError beyond the float range
+    return math.inf if r == q == 0.0 else max(1.0, math.exp(log_value(r, q)))
 
 
 def evidential_value(study, mode: Mode | str = Mode.PAPER) -> EvidentialValue:
@@ -128,25 +139,18 @@ def evidential_value(study, mode: Mode | str = Mode.PAPER) -> EvidentialValue:
 
 def profile_value(profile, mode: Mode) -> EvidentialValue:
     """:func:`evidential_value` from a study's variance *profile*."""
-    s0_sq = profile.s0_sq
-    nz_sq = profile.nz_sq
-    floor_sq = profile.exact_lower_sq if mode is Mode.EXACT else profile.paper_lower_sq
-
-    if nz_sq > s0_sq:
-        return EvidentialValue(1.0, 1.0, Case.ABOVE, mode)
-    if nz_sq < floor_sq or (nz_sq == 0.0 and floor_sq == 0.0):
-        if floor_sq == 0.0:
-            # only reachable with nz_sq == 0: density ratio grows without
-            # bound as the variance drops to zero at a zero contrast
-            lower = math.inf
-        else:
-            lower = max(1.0, _floor_value(nz_sq, floor_sq, s0_sq))
-        if mode is Mode.EXACT:
-            return EvidentialValue(lower, lower, Case.BELOW, mode)
-        upper = math.inf if nz_sq == 0.0 else max(lower, _point_value(nz_sq, s0_sq))
-        return EvidentialValue(lower, upper, Case.BELOW, mode)
-    value = max(1.0, _point_value(nz_sq, s0_sq))
-    return EvidentialValue(value, value, Case.MIDDLE, mode)
+    r = abs(profile.z_v)
+    q = profile.q_exact if mode is Mode.EXACT else profile.q_paper
+    lower = upper = _value(r, q)
+    if r > 1.0:
+        case = Case.ABOVE
+    elif r < q or r == 0.0:
+        case = Case.BELOW
+        if mode is Mode.PAPER:
+            upper = max(lower, _value(r, 0.0))
+    else:
+        case = Case.MIDDLE
+    return EvidentialValue(lower, upper, case, mode)
 
 
 def z_v_statistic(study) -> float:
@@ -155,26 +159,18 @@ def z_v_statistic(study) -> float:
     Approximately standard normal when the cell means follow the linear
     constraint; values near zero are what inflate the evidential value.
     """
-    return profile_z_statistics(study, variance_profile(study))[0]
+    return variance_profile(study).z_v
 
 
 def z_c_statistic(study) -> float:
     """Standardized contrast with pooled denominator sqrt(2*(s1^2+s2^2+s3^2))."""
-    return profile_z_statistics(study, variance_profile(study))[1]
-
-
-def profile_z_statistics(study, profile) -> tuple[float, float]:
-    """``(Z_V, Z_C)`` of *study* from its variance *profile*."""
-    s1, s2, s3 = study.sds
-    root_n_z = math.sqrt(study.n) * profile.z
-    pooled = math.sqrt(2.0 * (s1 * s1 + s2 * s2 + s3 * s3))
-    return root_n_z / math.sqrt(profile.s0_sq), root_n_z / pooled
+    return variance_profile(study).z_c
 
 
 def threshold_ratio(v: float) -> float:
     """Invert the middle-regime value: largest |Z_V| still giving V >= v.
 
-    With ``r = sqrt(n*z^2/s0^2)`` in (0, 1] the middle-regime value is
+    With ``r = |Z_V|`` in (0, 1] the middle-regime value is
     ``V = exp(-log(r) + (r^2 - 1)/2)``, which falls from +inf to 1.  The
     root of ``h(u) = -u + expm1(2*u)/2 - log(v)`` in ``u = log(r)`` is
     found by bisection down to adjacent floats, so the result is accurate
@@ -249,16 +245,17 @@ def combine(values, prior_odds: float = 1.0) -> CombinedEvidence:
         else:
             name, ev = item
             labeled.append((str(name), ev))
-    product_lower = 1.0
-    product_upper = 1.0
-    for _, ev in labeled:
-        product_lower *= ev.lower
-        product_upper *= ev.upper
+    ends = []
+    for factors in ([ev.lower for _, ev in labeled], [ev.upper for _, ev in labeled]):
+        product = math.prod(factors)
+        if math.isinf(prior_odds * product) and all(map(math.isfinite, factors)):
+            raise OverflowError("the product of the values exceeds the float range")
+        ends.append(product)
     return CombinedEvidence(
         per_study=tuple(labeled),
-        product_lower=product_lower,
-        product_upper=product_upper,
+        product_lower=ends[0],
+        product_upper=ends[1],
         prior_odds=prior_odds,
-        posterior_odds_lower=prior_odds * product_lower,
-        posterior_odds_upper=prior_odds * product_upper,
+        posterior_odds_lower=prior_odds * ends[0],
+        posterior_odds_upper=prior_odds * ends[1],
     )

@@ -22,7 +22,8 @@ is
 
 This module evaluates ``s``, gives the infimum of ``s^2`` over the
 variance-reducing part of the admissible region in closed form, and
-collects the scale quantities of a study in one :class:`VarianceProfile`.
+collects the scale quantities of a study, as ratios to ``s0 = s(0, 0, 0)``,
+in one :class:`VarianceProfile`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "contrast",
     "elliptope_det",
     "exact_infimum_sq",
-    "independence_variance",
     "is_interior",
     "paper_lower_bound_sq",
     "variance_profile",
@@ -95,12 +95,6 @@ class CorrelationTriple(namedtuple("CorrelationTriple", "rho1 rho2 rho3")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
-def independence_variance(sds) -> float:
-    """``s0^2 = s1^2 + 4*s2^2 + s3^2``: the contrast variance at rho = 0."""
-    s1, s2, s3 = sds
-    return s1 * s1 + 4.0 * s2 * s2 + s3 * s3
-
-
 def combined_sd(rho, sds) -> float:
     """Plug-in standard deviation s(rho) of the scaled contrast.
 
@@ -111,7 +105,7 @@ def combined_sd(rho, sds) -> float:
     r1, r2, r3 = rho
     s1, s2, s3 = sds
     radicand = (
-        independence_variance(sds)
+        s1 * s1 + 4.0 * s2 * s2 + s3 * s3
         - 4.0 * s1 * s2 * r3 + 2.0 * s1 * s3 * r2 - 4.0 * s2 * s3 * r1
     )
     if radicand < -RADICAND_TOL:
@@ -185,25 +179,30 @@ def exact_infimum_sq(sds) -> float:
     s1, s2, s3 = sds
     if not (s1 > 0 and s2 > 0 and s3 > 0):
         raise ValueError("sds must be positive")
-    w = (s1, 2.0 * s2, s3)
-    deficit = 2.0 * max(w) - (w[0] + w[1] + w[2])
-    if abs(deficit) <= 1e-12 * max(w):
-        # too close to zero for the float sign, which roundoff can flip:
-        # decide in decimal, like the contrast, so that sds whose printed
-        # decimals close a triangle give an exact zero floor
+    return _exact_gap((s1, 2.0 * s2, s3), sds, 1.0) ** 2
+
+
+def _exact_gap(w, sds, unit):
+    # max(0, 2*max(w) - sum(w)) for w = (s1, 2*s2, s3)/unit, unit a power of
+    # two; a deficit too close to zero for the float sign is decided in
+    # decimal from the sds as given, like the contrast, so sds whose printed
+    # decimals close a triangle give an exact zero
+    top = max(w)
+    deficit = 2.0 * top - (w[0] + w[1] + w[2])
+    if abs(deficit) <= 1e-12 * top:
         d1, d2, d3 = (Decimal(repr(float(s))) for s in sds)
         low, mid, high = sorted((d1, 2 * d2, d3))
-        deficit = float(_EXACT.subtract(_EXACT.subtract(high, mid), low))
-    return max(0.0, deficit) ** 2
+        deficit = float(_EXACT.subtract(_EXACT.subtract(high, mid), low)) / unit
+    return max(0.0, deficit)
 
 
-class VarianceProfile(namedtuple("VarianceProfile", "s0_sq paper_lower_sq exact_lower_sq z nz_sq")):
-    """Derived scale quantities of one study.
+class VarianceProfile(namedtuple("VarianceProfile", "z_v z_c q_paper q_exact")):
+    """Derived scale quantities of one study, each a ratio.
 
-    ``s0_sq`` is the contrast variance at independence, ``paper_lower_sq``
-    the computable lower-bound proxy, ``exact_lower_sq`` the closed-form
-    constrained infimum, ``z`` the mean contrast and ``nz_sq = n * z^2``.
-    The chain ``exact_lower_sq <= paper_lower_sq <= s0_sq`` always holds.
+    ``z_v = sqrt(n)*z/s0`` (the engine's r, signed; zero only for a zero
+    contrast) and ``z_c`` are the contrast statistics; ``q_paper`` and
+    ``q_exact`` are the proxy and exact floors of the contrast sd over
+    ``s0``, and ``q_exact <= q_paper <= 1`` always holds.
     """
 
     __slots__ = ()
@@ -214,16 +213,23 @@ def variance_profile(study) -> VarianceProfile:
 
     It computes and does not validate: a
     :class:`~evidential.ledger.StudySummary` is checked when it is made.
+    It works in units of the largest power of two not above max(sds), an
+    exact rescaling, and squares nothing, so it holds across the float range.
     """
-    paper_sq = paper_lower_bound_sq(study.sds)
-    # the proxy dominates the infimum in exact arithmetic, but the two
-    # formulas round differently; the clip keeps the chain exact in floats
-    exact_sq = min(exact_infimum_sq(study.sds), paper_sq)
+    s1, s2, s3 = sds = study.sds
+    unit = math.ldexp(1.0, math.frexp(max(sds))[1] - 1)
+    s1, s2, s3 = s1 / unit, s2 / unit, s3 / unit
+    w2 = 2.0 * s2
+    s0 = math.hypot(s1, w2, s3)
+    # q_exact <= q_paper <= 1 holds in exact arithmetic; the mins keep it in floats
+    paper = min(abs(w2 - (s1 + s3)), abs(w2 - math.hypot(s1, s3)), s0)
+    exact = min(_exact_gap((s1, w2, s3), sds, unit), paper)
     z = contrast(study.means)
-    return VarianceProfile(
-        s0_sq=independence_variance(study.sds),
-        paper_lower_sq=paper_sq,
-        exact_lower_sq=exact_sq,
-        z=z,
-        nz_sq=study.n * z * z,
-    )
+    root_n_z = math.sqrt(study.n) * (z / unit)
+    z_v = root_n_z / s0
+    if z and not z_v:
+        # below the float range: V is unbounded only at a zero contrast
+        z_v = math.copysign(math.ulp(0.0), z)
+    # the pooled sd sqrt(2*(s1^2 + s2^2 + s3^2)) is a hypot of six
+    z_c = root_n_z / math.hypot(s1, s2, s3, s1, s2, s3)
+    return VarianceProfile(z_v, z_c, paper / s0, exact / s0)

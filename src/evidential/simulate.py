@@ -30,14 +30,15 @@ per replication into a shared buffer (the stream of :func:`simulate_study`;
 where the seed and every index of a block fit one 32-bit word, the block's
 PCG64 states are computed at once, see :func:`_pcg64_states`), the means
 and sds of the whole block in numpy (the same operations, so the same
-floats), and then a decision in numpy.  Given the sds, the paper-mode lower
-end of V is a continuous, non-increasing function L of ``nz = n*z^2``
-(:func:`_log_lower_end`), and the engine's ``nz`` lies between those of the
-float contrast lowered and raised by a bound on its rounding error.  So a
-replication counts when L at the upper end reaches v, and cannot count when
-L at the lower end stays below v, each by a margin far above the float
-error.  Only the thin band between the two, and replications whose floats
-the decision does not cover, are decided by
+floats), and then a decision in numpy by the engine's own formula,
+:func:`~evidential.engine.log_value`.  log V is non-increasing in
+``r = |Z_V|`` and in the floor ratio ``q``, and the engine's r and q lie
+between those of the float contrast lowered and raised by a bound on its
+rounding error and of q lowered and raised by a few ulps.  So a
+replication counts when log V at the high ends reaches log v, and cannot
+count when log V at the low ends stays below it, each by a margin far
+above the float error.  Only the thin band between the two, invalid rows
+and rows with a zero paper floor are decided by
 :func:`~evidential.engine.evidential_value`, so the estimate is the
 per-replication loop's, bit for bit.
 """
@@ -49,7 +50,7 @@ import sys
 from collections import namedtuple
 
 from .engine import Mode, evidential_value
-from .geometry import CorrelationTriple, independence_variance
+from .geometry import CorrelationTriple
 from .ledger import StudySummary
 
 __all__ = [
@@ -200,13 +201,12 @@ _BLOCK = 256
 _BLOCK_DRAWS = 1 << 20
 
 #: half-width in log V of the band left to the engine: orders of magnitude
-#: above the float error (under 1e-12) of log(v), of log L and of the engine
+#: above the float error (under 1e-12) of log(v), of log V and of the engine
 _LOG_TOL = 1e-9
 
 #: |float contrast - decimal contrast| is below _SLACK * (|x1| + 2|x2| + |x3|)
-#: + _SLACK_FLOOR; the decision is made in numpy where the paper floor f and
-#: s0^2/f lie in (1/_SAFE, _SAFE), so that no step of it or of V overflows
-_SLACK, _SLACK_FLOOR, _SAFE = 4.0 * sys.float_info.epsilon, 2.0**-1070, 1e300
+#: + _SLACK_FLOOR, and the engine's q is within 4 * _SLACK of numpy's
+_SLACK, _SLACK_FLOOR = 4.0 * sys.float_info.epsilon, 2.0**-1070
 
 #: numpy's SeedSequence hashing constants and PCG64's 128-bit multiplier,
 #: fixed by its documented seeding (NEP 19 keeps seeded streams stable)
@@ -285,19 +285,13 @@ def _standard_normals(out, seed, first, generator):
             default_rng((seed, first + i)).standard_normal(out=row)
 
 
-def _log_lower_end(nz, s0_sq, f):
-    """Elementwise log of the paper-mode lower end of V at ``n*z^2 = nz``,
-    for ``0 < f <= s0_sq``, f being the paper floor: 0 above ``s0_sq``, the
-    log of the supremum at variance nz down to f, and below f the log
-    density ratio at f.  The pieces meet at f and at ``s0_sq``, and their
-    slopes ``-(1/nz - 1/s0_sq)/2`` and ``-(1/f - 1/s0_sq)/2`` are at most 0,
-    so L is continuous and non-increasing in nz.
-    """
+def _log_values(r, q):
+    """:func:`~evidential.engine.log_value` elementwise."""
     np = _numpy()
-    ratio = nz / s0_sq
-    middle = -0.5 * np.log(ratio) - 0.5 * (1.0 - ratio)
-    below = 0.5 * np.log(s0_sq / f) - 0.5 * nz * (1.0 / f - 1.0 / s0_sq)
-    return np.where(nz > s0_sq, 0.0, np.where(nz < f, below, middle))
+    r = np.minimum(r, 1.0)
+    s = np.maximum(r, q)
+    t = r / s
+    return -np.log(s) + 0.5 * (r * r - t * t)
 
 
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
@@ -310,8 +304,8 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     lower bound reaches *v_threshold* (the conservative reading of an
     interval).  Replication k uses the random stream ``default_rng((seed,
     k))``, so the estimate is independent of scheduling and reproducible
-    bit-for-bit.  Blocks of replications are decided in numpy from L at
-    both ends of the contrast's rounding interval (see the module
+    bit-for-bit.  Blocks of replications are decided in numpy from log V
+    at both ends of the rounding intervals of r and q (see the module
     docstring); the count is that of evaluating every
     :func:`simulate_study`.
     """
@@ -330,6 +324,7 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]
     n_float, log_v = float(params.n), math.log(v_threshold)
+    root_n = math.sqrt(n_float)
     block_reps = max(1, min(_BLOCK, _BLOCK_DRAWS // (4 * params.n)))
     draws = np.empty((block_reps, 4, params.n))
     count = 0
@@ -341,26 +336,26 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
             data = mu + scale * block[:, 1:]
             means = data.mean(axis=2)
             sds = data.std(axis=2, ddof=1)
-            # The float contrast is within 1.5*eps*(|x1| + 2|x2| + |x3|) of
-            # the exact one, that within eps/2 of the sum plus 2**-1073 of
-            # the decimal z (a shortest repr is within half an ulp), so by
-            # monotone rounding the engine's nz = n*z*z lies between those
-            # of z_low and z_high, and V between L at the two.  The
-            # engine's floor (x**2, not x*x) may be an ulp off this f,
-            # which moves log L by eps/2.  Other rows, invalid ones among
-            # them, are built as studies: the first invalid one raises.
+            # Both sides work in the same power-of-two unit.  The decimal z
+            # is within 2**-1073 + eps/2 of the exact sum of the means, the
+            # float contrast within 1.5*eps*(|x1| + 2|x2| + |x3|) of it, so
+            # the engine's r lies between r_low and r_high up to the few eps
+            # of its own s0, and its own hypot keeps its q within 8 eps of
+            # this q.  Other rows, invalid ones among them, are built as
+            # studies: the first invalid one raises.
+            unit = np.ldexp(1.0, np.frexp(sds.max(axis=1))[1] - 1)
+            s1, s2, s3 = (sds / unit[:, None]).T
+            s0 = np.hypot(np.hypot(s1, 2.0 * s2), s3)
+            gap = np.minimum(np.abs(2.0 * s2 - (s1 + s3)), np.abs(2.0 * s2 - np.hypot(s1, s3)))
+            q = np.minimum(gap, s0) / s0
             x1, x2, x3 = means.T
             slack = _SLACK * (np.abs(x1) + 2.0 * np.abs(x2) + np.abs(x3)) + _SLACK_FLOOR
             contrast = np.abs(x1 - 2.0 * x2 + x3)
-            s1, s2, s3 = sds.T
-            s0_sq = independence_variance(sds.T)
-            root = np.sqrt(s1 * s1 + s3 * s3)
-            f = np.minimum((2.0 * s2 - (s1 + s3)) ** 2, (2.0 * s2 - root) ** 2)
-            decided = (np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)).all(axis=1)
-            decided &= (f <= s0_sq) & (f > 1.0 / _SAFE) & (s0_sq / f < _SAFE)
-            z_low, z_high = np.maximum(contrast - slack, 0.0), contrast + slack
-            low = _log_lower_end(n_float * z_low * z_low, s0_sq, f)
-            high = _log_lower_end(n_float * z_high * z_high, s0_sq, f)
+            decided = (np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)).all(axis=1) & (q > 0.0)
+            r_low = root_n * (np.maximum(contrast - slack, 0.0) / unit) / s0
+            r_high = root_n * ((contrast + slack) / unit) / s0
+            high = _log_values(r_high, q + 4.0 * _SLACK)
+            low = _log_values(r_low, q - 4.0 * _SLACK)
             counted = decided & (high >= log_v + _LOG_TOL)
             band = ~(counted | decided & (low < log_v - _LOG_TOL))
         count += int(np.count_nonzero(counted))

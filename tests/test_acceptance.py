@@ -11,10 +11,9 @@ import numpy as np
 
 from evidential.engine import (
     Mode,
-    _floor_value,
-    _point_value,
     empirical_tail_fraction,
     evidential_value,
+    log_value,
     null_tail_probability,
     threshold_ratio,
     z_c_statistic,
@@ -226,14 +225,13 @@ def test_criterion_5_case_boundary_continuity():
     rng = np.random.default_rng(5151)
     worst = 0.0
     for _ in range(2000):
-        s0_sq = rng.uniform(0.2, 80.0)
-        floor_sq = rng.uniform(1e-9, 1.0) * s0_sq
-        # below-case expression at nz^2 == floor equals the middle expression
-        a = _floor_value(floor_sq, floor_sq, s0_sq)
-        b = _point_value(floor_sq, s0_sq)
+        q = math.sqrt(rng.uniform(1e-9, 1.0))
+        # V just below the floor (r < q) equals V just above it (r > q)
+        a = math.exp(log_value(math.nextafter(q, 0.0), q))
+        b = math.exp(log_value(math.nextafter(q, 2.0), q))
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-        # middle expression at nz^2 == s0^2 equals the above-case value 1
-        worst = max(worst, abs(_point_value(s0_sq, s0_sq) - 1.0))
+        # V just below r = 1 equals the above-case value 1
+        worst = max(worst, abs(math.exp(log_value(math.nextafter(1.0, 0.0), q)) - 1.0))
     _report(
         "criterion 5c (case expressions agree at both boundaries, 1e-10)",
         worst <= 1e-10,

@@ -138,6 +138,16 @@ def test_compute_table_prints_huge_statistics_in_scientific_notation(tmp_path):
     assert "+7.3030e+300  +7.3030e+300  above" in out
 
 
+def test_compute_json_writes_statistics_beyond_the_float_range_as_null(tmp_path):
+    # Z_V is about 7e600 here; JSON has no Infinity, so it is null like V's ∞
+    path = tmp_path / "huge.csv"
+    path.write_bytes(HEADER_LINE + b"a,20,1e300,-1e300,1e300,1e-300,1e-300,1e-300\n")
+    code, out, err = run(["compute", "--input", str(path), "--format", "json"])
+    assert code == 0 and err == ""
+    (row,) = json.loads(out, parse_constant=lambda name: pytest.fail(name))["rows"]
+    assert (row["z_v"], row["z_c"], row["case"]) == (None, None, "above")
+
+
 def test_compute_footer_renders_products_beyond_default_decimal_precision(
     tmp_path, suspect
 ):
@@ -208,16 +218,23 @@ def test_compute_rejects_prior_odds_that_are_not_positive_and_finite(
 
 
 def test_compute_arithmetic_failure_names_the_study(tmp_path):
-    for row, problem in (
-        # sds whose squares underflow: s0 is 0.0 and Z_V divides by it
-        (b"a,20,1e-200,0,0,1e-200,2e-200,1e-200", "float division by zero"),
-        # the paper floor's square overflows
-        (b"a,20,0,0,0,1e154,1e150,1e154", "overflow: Numerical result out of range"),
-    ):
-        path = tmp_path / "odd.csv"
-        path.write_bytes(HEADER_LINE + row + b"\n")
-        code, out, err = run(["compute", "--input", str(path)])
-        assert (code, out, err) == (1, "", f"error: study 'a': {problem}\n")
+    # the contrast is 1e-320 against s0 = sqrt(6): V is about 3.3e319
+    path = tmp_path / "odd.csv"
+    path.write_bytes(HEADER_LINE + b"a,20,1e-320,0,0,1,1,1\n")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, out, err) == (1, "", "error: study 'a': overflow: math range error\n")
+
+
+def test_compute_refuses_a_product_beyond_the_float_range(tmp_path):
+    # each V is 3.3e149, so the product of three is 3.6e448: not unbounded
+    path = tmp_path / "big.csv"
+    rows = b"a,20,1e-150,0,0,1,1,1\nb,20,1e-150,0,0,1,1,1\nc,20,1e-150,0,0,1,1,1\n"
+    path.write_bytes(HEADER_LINE + rows)
+    for fmt in ("table", "json"):
+        code, out, err = run(["compute", "--input", str(path), "--format", fmt])
+        assert (code, out, err) == (
+            1, "", "error: overflow: the product of the values exceeds the float range\n"
+        ), fmt
 
 
 def test_build_rows_computes_one_contrast_per_study(monkeypatch, reference):
@@ -371,10 +388,19 @@ def test_simulate_command_rejects_bad_sigma():
         assert (code, out, err) == (2, "", f"error: {problem}\n"), sigma
 
 
-def test_simulate_command_reports_an_overflow():
-    # the paper floor of a band replication overflows its square
+def test_simulate_command_reports_an_overflow(monkeypatch):
+    # sds of 1e154 are decided in numpy until one overflows and is refused
     code, out, err = run(["simulate", "--n", "2", "--sigma", "1e154,1e154,1e154",
                           "--reps", "1000", "--seed", "3"])
+    assert (code, out, err) == (2, "", "error: study 'sim': sds must be finite\n")
+    # an arithmetic failure of the estimate itself is a computation error
+    from evidential import simulate
+
+    def overflowing(**kwargs):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(simulate, "null_exceedance", overflowing)
+    code, out, err = run(["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "1000"])
     assert (code, out, err) == (1, "", "error: overflow: Numerical result out of range\n")
 
 

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -11,11 +13,10 @@ from evidential.engine import (
     Case,
     EvidentialValue,
     Mode,
-    _floor_value,
-    _point_value,
     combine,
     empirical_tail_fraction,
     evidential_value,
+    log_value,
     null_tail_probability,
     plugin_density,
     threshold_ratio,
@@ -23,7 +24,8 @@ from evidential.engine import (
     z_v_statistic,
 )
 from evidential import ledger
-from evidential.geometry import variance_profile
+from evidential.cli import main, render_value
+from evidential.geometry import contrast, variance_profile
 from evidential.ledger import LedgerError, StudySummary
 
 from helpers import random_study
@@ -232,6 +234,17 @@ def test_combine_absorbs_unbounded():
     assert combined.posterior_odds_lower == pytest.approx(13.95)
 
 
+def test_combine_refuses_a_product_beyond_the_float_range():
+    # finite values whose product overflows are not unbounded evidence
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        combine([_point(3.3e149)] * 3)
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        combine([_point(1e300)], prior_odds=1e10)
+    # an unbounded factor still absorbs
+    iv = EvidentialValue(1e300, INF, Case.BELOW, Mode.PAPER)
+    assert combine([iv, _point(2.0)]).product_upper == INF
+
+
 def test_combine_keeps_labels():
     combined = combine([("a", _point(2.0)), ("b", _point(3.0))])
     assert [name for name, _ in combined.per_study] == ["a", "b"]
@@ -280,14 +293,14 @@ def test_normalized_value_has_minimum_one_at_one():
 def test_case_expressions_agree_at_boundaries():
     rng = np.random.default_rng(55)
     for _ in range(200):
-        s0_sq = rng.uniform(0.5, 50.0)
-        floor_sq = rng.uniform(1e-6, 1.0) * s0_sq
-        # at nz^2 == floor, the below-case value equals the middle expression
-        assert _floor_value(floor_sq, floor_sq, s0_sq) == pytest.approx(
-            _point_value(floor_sq, s0_sq), rel=1e-10
-        )
-        # at nz^2 == s0^2, the middle expression equals the above-case value 1
-        assert _point_value(s0_sq, s0_sq) == pytest.approx(1.0, abs=1e-10)
+        q = math.sqrt(rng.uniform(1e-6, 1.0))
+        # at r == q, the below-case value (r < q) meets the middle one (r > q)
+        below = math.exp(log_value(math.nextafter(q, 0.0), q))
+        middle = math.exp(log_value(math.nextafter(q, 2.0), q))
+        assert below == pytest.approx(middle, rel=1e-10)
+        # at r == 1, the middle value meets the above-case value 1
+        assert math.exp(log_value(math.nextafter(1.0, 0.0), q)) == pytest.approx(1.0, abs=1e-10)
+        assert log_value(math.nextafter(1.0, 2.0), q) == 0.0
 
 
 def test_value_is_continuous_across_the_floor_boundary():
@@ -329,10 +342,17 @@ positive_sd = st.floats(0.05, 50.0, allow_nan=False)
     finite_mean, finite_mean, finite_mean,
     positive_sd, positive_sd, positive_sd,
 )
+@example(2.0, 2.225073858507203e-309, 0.0, 0.0, 1.0, 1.0, 1.0)  # V is about 4.7e308
 @settings(max_examples=300, deadline=None)
 def test_paper_value_is_never_exculpatory(n, x1, x2, x3, s1, s2, s3):
     study = StudySummary("h", n, (x1, x2, x3), (s1, s2, s3))
-    ev = evidential_value(study, Mode.PAPER)
+    try:
+        ev = evidential_value(study, Mode.PAPER)
+    except OverflowError:
+        # refused only where the unconstrained upper end is beyond the float range
+        r = abs(variance_profile(study).z_v)
+        assert log_value(r, 0.0) > math.log(sys.float_info.max)
+        return
     assert ev.lower >= 1.0
     assert ev.upper >= ev.lower
 
@@ -361,6 +381,73 @@ def test_scale_invariance_exact_mode():
         )
         ev1 = evidential_value(scaled, Mode.EXACT)
         assert ev1.lower == pytest.approx(ev0.lower, rel=1e-6)
+
+
+# --- the whole float range ---------------------------------------------------
+
+def test_rows_far_from_table_scale():
+    ev = {}
+    for name, n, means, sds in (
+        ("tiny", 20, (1e-200, 0.0, 0.0), (1e-200, 2e-200, 1e-200)),
+        ("unit", 20, (1.0, 0.0, 0.0), (1.0, 2.0, 1.0)),
+        ("underflow", 20, (1e-200, 0.0, 0.0), (1e-150, 1e-150, 1e-150)),
+        ("small n", 1e-320, (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        ("huge", 20, (1e200, -1e200, 1e200), (1e200, 1e200, 1e200)),
+        ("floor overflow", 20, (0.0, 0.0, 0.0), (1e154, 1e150, 1e154)),
+    ):
+        study = StudySummary(name, n, means, sds)
+        ev[name] = {mode: evidential_value(study, mode) for mode in Mode}
+        ev[name]["z_v"] = z_v_statistic(study)
+    for mode in Mode:
+        # a scaled copy of a V = 1 row
+        assert ev["tiny"][mode] == (1.0, 1.0, Case.ABOVE, mode)
+        assert ev["unit"][mode] == (1.0, 1.0, Case.ABOVE, mode)
+        # n z^2 and s0^2 would underflow; V = exp(-1/2)/r
+        assert ev["underflow"][mode].lower == pytest.approx(
+            math.exp(-0.5) / math.sqrt(20 / 6) * 1e50, rel=1e-12
+        )
+        assert ev["small n"][mode].lower == pytest.approx(1.4857e160, rel=1e-4)
+        assert ev["huge"][mode].case is Case.ABOVE
+    assert ev["tiny"]["z_v"] == pytest.approx(ev["unit"]["z_v"], rel=1e-12)
+    assert render_value(ev["floor overflow"][Mode.PAPER]) == "1.00–∞"
+    assert ev["floor overflow"][Mode.EXACT].lower == INF
+    # r = sqrt(1e-300) * 1e-200 / sqrt(6) underflows, yet the contrast is not
+    # zero: V is about 1.5e349, an overflow, not the unbounded value
+    for mode in Mode:
+        with pytest.raises(OverflowError):
+            evidential_value(StudySummary("u", 1e-300, (1e-200, 0.0, 0.0), (1.0, 1.0, 1.0)), mode)
+
+
+@given(
+    st.integers(1, 1000),
+    st.tuples(*[st.integers(-9999, 9999)] * 3),
+    st.tuples(*[st.integers(1, 9999)] * 3),
+    st.integers(-300, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_value_is_scale_free_across_the_float_range(tmp_path_factory, n, means, sds, k):
+    # a table row in hundredths, scaled by 10**k in decimal, so that the
+    # printed decimals (which decide a zero contrast) scale exactly
+    def row(e):
+        return [float(f"{x}e{e - 2}") for x in means + sds]
+
+    base = StudySummary("h", n, row(0)[:3], row(0)[3:])
+    scaled = StudySummary("h", n, row(k)[:3], row(k)[3:])
+    profile, base_profile = variance_profile(scaled), variance_profile(base)
+    path = tmp_path_factory.mktemp("scaled") / "row.csv"
+    path.write_text("id,n,x1,x2,x3,s1,s2,s3\nh,%d,%r,%r,%r,%r,%r,%r\n" % (n, *row(k)))
+    for mode in Mode:
+        ev0, ev = evidential_value(base, mode), evidential_value(scaled, mode)
+        assert ev.lower >= 1.0
+        q, q0 = (p.q_exact if mode is Mode.EXACT else p.q_paper for p in (profile, base_profile))
+        # on a regime boundary both formulas agree, and rounding picks the label
+        if not any(math.isclose(abs(base_profile.z_v), edge, rel_tol=1e-9) for edge in (q0, 1.0)):
+            assert ev.case is ev0.case
+        assert ev.lower == pytest.approx(ev0.lower, rel=1e-9)
+        assert ev.upper == pytest.approx(ev0.upper, rel=1e-9)
+        assert math.isinf(ev.lower) == (contrast(scaled.means) == 0.0 and q == 0.0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compute", "--input", str(path), "--mode", mode.value]) == 0
 
 
 def test_exact_value_sits_inside_paper_interval_quick():

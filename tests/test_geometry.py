@@ -193,30 +193,29 @@ def test_exact_infimum_scale_equivariance(c):
 
 def test_variance_profile_row1(suspect):
     prof = variance_profile(suspect.studies[0])
-    assert prof.z == pytest.approx(0.07, abs=1e-15)
-    assert prof.nz_sq == pytest.approx(0.098, abs=1e-9)
-    assert prof.s0_sq == pytest.approx(4.0001, abs=1e-12)
-    assert prof.nz_sq == prof.z * prof.z * 20
+    # n z^2 = 20 * 0.07^2 = 0.098 and s0^2 = 4.0001
+    assert prof.z_v == pytest.approx(math.sqrt(0.098 / 4.0001), abs=1e-12)
+    assert prof.z_c == pytest.approx(math.sqrt(0.098 / (2 * (1.21**2 + 0.72**2 + 0.68**2))), abs=1e-12)
 
 
 def test_variance_profile_row8(suspect):
     prof = variance_profile(suspect.studies[7])
-    assert prof.z == 0.0
-    assert prof.nz_sq == 0.0
-    assert prof.exact_lower_sq == pytest.approx(0.0, abs=1e-9)
-    assert prof.paper_lower_sq == pytest.approx(0.044356248291749466, abs=1e-12)
+    s0_sq = 1.24**2 + 4 * 1.09**2 + 1.53**2
+    assert prof.z_v == 0.0
+    assert prof.q_exact == pytest.approx(0.0, abs=1e-9)
+    assert prof.q_paper == pytest.approx(math.sqrt(0.044356248291749466 / s0_sq), abs=1e-12)
 
 
 def test_variance_profile_equal_means_gives_zero_contrast():
     study = StudySummary("c", 20, (3.3, 3.3, 3.3), (1.0, 2.0, 0.5))
-    assert variance_profile(study).z == 0.0
+    assert variance_profile(study).z_v == 0.0
 
 
 def test_variance_profile_chain_holds_exactly(suspect, reference):
     for study in list(suspect) + list(reference):
         prof = variance_profile(study)
-        assert prof.exact_lower_sq <= prof.paper_lower_sq <= prof.s0_sq
-        assert prof.exact_lower_sq >= 0.0
+        assert prof.q_exact <= prof.q_paper <= 1.0
+        assert prof.q_exact >= 0.0
 
 
 def test_variance_profile_rejects_invalid_study():

@@ -236,6 +236,7 @@ def test_null_exceedance_equals_the_per_replication_loop():
         (1.5, 0.7, 2.0),
         (1e-150, 1.0, 1e-150),
         (1e150, 1.0, 1.0),
+        (1e-150, 1e-150, 1e-150),
     )
     cases = [(n, sigma, thresholds, 23) for n in (2, 5, 20) for sigma in sigmas]
     # at n = 1100 a block holds fewer replications, to bound its memory
@@ -295,14 +296,21 @@ def count_engine_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("sigma", [(1.0, 1.0, 1.0), (1.5, 0.7, 2.0)])
-def test_null_exceedance_decides_almost_every_replication_in_numpy(monkeypatch, sigma):
+@pytest.mark.parametrize(
+    "n, sigma",
+    [
+        pytest.param(20, (1.0, 1.0, 1.0), id="sigma0"),
+        pytest.param(20, (1.5, 0.7, 2.0), id="sigma1"),
+        pytest.param(101, (1e-150, 1e-150, 1e-150), id="sigma2"),
+    ],
+)
+def test_null_exceedance_decides_almost_every_replication_in_numpy(monkeypatch, n, sigma):
     # a tripwire: the numpy decision leaves only a thin band to the engine
     from evidential import simulate
 
     calls = count_engine_calls(monkeypatch)
     reps = 4 * simulate._BLOCK + 1
-    null_exceedance(n=20, sigma=sigma, v_threshold=2.0, reps=reps, seed=42)
+    null_exceedance(n=n, sigma=sigma, v_threshold=2.0, reps=reps, seed=42)
     assert len(calls) <= 0.01 * reps
 
 

@@ -232,6 +232,9 @@ def cmd_simulate(args, out=None, err=None) -> int:
     except ArithmeticError as exc:
         err.write(f"error: {_arithmetic(exc)}\n")
         return EXIT_COMPUTE
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        err.write(f"error: out of memory: {exc}\n" if str(exc) else "error: out of memory\n")
+        return EXIT_COMPUTE
     # the shortest label that reads back as v: %g unless it rounds v
     v = f"{report.v_threshold:g}"
     v = v if float(v) == report.v_threshold else repr(report.v_threshold)

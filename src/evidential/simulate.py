@@ -19,18 +19,19 @@ The probabilities only exist when all rho_i are positive and each pairwise
 product is dominated by the third coordinate; the independence null
 (rho = 0) is the Delta == 0 special case.
 
-All randomness is drawn from numpy Generators seeded per replication with
-(seed, replication index), so Monte Carlo results are reproducible
-bit-for-bit regardless of how replications are scheduled.  numpy is
-imported on first use (the module attribute ``np``), so importing this
-module, and the commands that never simulate, need the stdlib only.
+Replication k of :func:`null_exceedance` draws from ``default_rng((seed,
+k))``, so Monte Carlo results are reproducible bit-for-bit however the
+replications are scheduled.  numpy is imported on first use (the module
+attribute ``np``), so importing this module, and the commands that never
+simulate, need the stdlib only.
 
 :func:`null_exceedance` evaluates replications in blocks: one draw call
-per replication into a shared buffer (the stream of :func:`simulate_study`;
-where the seed and every index of a block fit one 32-bit word, the block's
-PCG64 states are computed at once, see :func:`_pcg64_states`), the means
-and sds of the whole block in numpy (the same operations, so the same
-floats), and then a decision in numpy by the engine's own formula,
+per replication into a shared buffer, after writing the PCG64 state words
+that :func:`_pcg64_states` computes on uint64 limbs, 16 blocks at a time,
+into the generator's memory (through its state dict where a probe of that
+memory fails, see :func:`_normal_blocks`); the means and sds of the whole
+block in numpy (the same floats as :func:`simulate_study`); and then a
+decision in numpy by the engine's own formula,
 :func:`~evidential.engine.log_value`.  log V is non-increasing in
 ``r = |Z_V|`` and in the floor ratio ``q``, and the engine's r and q lie
 between those of the float contrast lowered and raised by a bound on its
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import partial
 
 from .engine import Mode, evidential_value
 from .geometry import CorrelationTriple
@@ -197,8 +199,9 @@ class SimulationReport(
 _BLOCK = 256
 
 #: most values drawn per block (8 MB of floats): where _BLOCK replications
-#: of 4*n draws each would exceed it, a block holds fewer
-_BLOCK_DRAWS = 1 << 20
+#: of 4*n draws each would exceed it, a block holds fewer; and the blocks
+#: seeded by one call of _pcg64_states (4096 replications at most)
+_BLOCK_DRAWS, _CHUNK_BLOCKS = 1 << 20, 16
 
 #: half-width in log V of the band left to the engine: orders of magnitude
 #: above the float error (under 1e-12) of log(v), of log V and of the engine
@@ -208,25 +211,21 @@ _LOG_TOL = 1e-9
 #: + _SLACK_FLOOR, and the engine's q is within 4 * _SLACK of numpy's
 _SLACK, _SLACK_FLOOR = 4.0 * sys.float_info.epsilon, 2.0**-1070
 
-#: numpy's SeedSequence hashing constants and PCG64's 128-bit multiplier,
-#: fixed by its documented seeding (NEP 19 keeps seeded streams stable)
+#: numpy's SeedSequence hash constants and PCG64's multiplier (low and high
+#: words), fixed by its documented seeding (NEP 19 keeps seeded streams stable)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_WORD = 1 << 32
+_PCG64_MULT_LOW, _PCG64_MULT_HIGH = 0x4385DF649FCCF645, 0x2360ED051FC65DA4
+_WORD, _LOW32 = 1 << 32, 0xFFFFFFFF
 
 
 def _pcg64_states(seed, first, count):
-    """The PCG64 ``(state, inc)`` of ``default_rng((seed, k))`` for the
-    *count* replications k from *first* on; *seed* and every k must be
-    below 2**32.
-
-    SeedSequence turns the entropy words [seed, k] into a pool of 4 words
-    and hashes the pool into the 4 uint64 words w0..w3 of
-    ``generate_state(4, uint64)``; PCG64 seeds itself from ``w0:w1`` and
-    ``w2:w3`` as 128-bit numbers.  The uint32 steps run on arrays with one
-    element per replication, the 128-bit ones on Python ints.
+    """The PCG64 states of ``default_rng((seed, k))`` for the *count*
+    replications k from *first* on (*seed* and every k below 2**32), as
+    uint64 rows of state low, state high, inc low and inc high: SeedSequence
+    hashes [seed, k] into the words w0..w3 from which PCG64 seeds itself, on
+    arrays with one element per replication (128 bits as two uint64 limbs).
     """
     np = _numpy()
 
@@ -253,36 +252,71 @@ def _pcg64_states(seed, first, count):
     hash_out = hasher(_INIT_B, _MULT_B)
     halves = [hash_out(pool[i % 4]).astype(np.uint64) for i in range(8)]
     # little-endian pairs of uint32 words make the uint64 words
-    words = [(halves[2 * k] | halves[2 * k + 1] << 32).tolist() for k in range(4)]
-    states = []
-    for w0, w1, w2, w3 in zip(*words):
-        inc = ((w2 << 64 | w3) << 1 | 1) % (1 << 128)
-        states.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) % (1 << 128), inc))
-    return states
+    w0, w1, w2, w3 = (halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4))
+    # state = (inc + w0:w1) * MULT + inc mod 2**128, where inc = 2 * w2:w3 + 1
+    inc_low, inc_high = w3 << 1 | 1, w2 << 1 | w3 >> 63
+    low = inc_low + w1
+    high = inc_high + w0 + (low < w1)
+    # times MULT: the high word takes the top of low * MULT_LOW, from 32-bit halves
+    a0, a1, b0, b1 = low & _LOW32, low >> 32, _PCG64_MULT_LOW & _LOW32, _PCG64_MULT_LOW >> 32
+    mid = (a0 * b0 >> 32) + (a0 * b1 & _LOW32) + (a1 * b0 & _LOW32)
+    high = high * _PCG64_MULT_LOW + low * _PCG64_MULT_HIGH + a1 * b1
+    high += (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32) + inc_high
+    low = low * _PCG64_MULT_LOW + inc_low
+    return np.stack((low, high + (low < inc_low), inc_low, inc_high), axis=1)
 
 
-def _standard_normals(out, seed, first, generator):
-    """Fill ``out[i]`` with the first standard normals that
-    ``default_rng((seed, first + i))`` draws.
+def _set_state(bits, words):
+    """Set PCG64 *bits* to the state of four words through its dict."""
+    low, high, inc_low, inc_high = map(int, words)
+    state = {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}
+    bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
 
-    *generator* is a reused ``Generator`` over a ``PCG64``: where *seed* and
-    every replication index fit one uint32 word, it is set to each
-    replication's state in turn; otherwise each replication builds its own
-    ``default_rng``.
+
+def _state_view(bits):
+    """PCG64 *bits*' own state words as a writable uint64 array, valid while
+    *bits* lives, or None unless four distinct words set through the dict
+    read back in the order of :func:`_pcg64_states`' rows, as where the
+    compiler has ``__uint128_t``.  The dict set leaves ``has_uint32`` at 0,
+    which ``standard_normal`` never sets, so the words are all it reads.
     """
-    if seed < _WORD and first + len(out) <= _WORD:
-        bits, normal = generator.bit_generator, generator.standard_normal
-        # PCG64 copies the numbers out of the dict, so one dict serves the block
-        inner = {}
-        state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-        states = _pcg64_states(seed, first, len(out))
-        for row, (inner["state"], inner["inc"]) in zip(out, states):
-            bits.state = state
-            normal(out=row)
-    else:
-        default_rng = _numpy().random.default_rng
-        for i, row in enumerate(out):
-            default_rng((seed, first + i)).standard_normal(out=row)
+    import ctypes  # here, so that loading the command line never loads it
+    # numpy's pcg64_state begins with a pointer to the state and increment
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    view = _numpy().ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+    _set_state(bits, (1, 2, 3, 5))
+    return view if view.tolist() == [1, 2, 3, 5] else None
+
+
+def _standard_normals(out, words, set_state, normal):
+    """Fill ``out[i]`` by *normal* after ``set_state(words[i])``."""
+    for row, state in zip(out, words):
+        set_state(state)
+        normal(out=row)
+
+
+def _normal_blocks(draws, seed, first, end):
+    """Yield ``draws[:m]`` filled with the first standard normals of
+    ``default_rng((seed, k))``, for successive blocks of the k from *first*
+    to *end*: seeded _CHUNK_BLOCKS blocks at a time where *seed* and k fit
+    one uint32 word (no chunk crosses 2**32), by ``default_rng`` elsewhere.
+    """
+    np = _numpy()
+    bits = np.random.PCG64()
+    normal, view = np.random.Generator(bits).standard_normal, _state_view(bits)
+    set_state = partial(_set_state, bits) if view is None else partial(view.__setitem__, ...)
+    while first < end:
+        stop = min(end, first + _CHUNK_BLOCKS * len(draws), _WORD if first < _WORD else end)
+        words = _pcg64_states(seed, first, stop - first) if seed < _WORD and stop <= _WORD else None
+        for start in range(first, stop, len(draws)):
+            out = draws[: stop - start]
+            if words is None:
+                for k, row in enumerate(out, start):
+                    np.random.default_rng((seed, k)).standard_normal(out=row)
+            else:
+                _standard_normals(out, words[start - first :], set_state, normal)
+            yield out
+        first = stop
 
 
 def _log_values(r, q):
@@ -299,15 +333,12 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
 
     Draws *reps* independent studies with independent errors and means on
     the linear constraint (mu = 0 without loss of generality: V depends on
-    the means only through the contrast), evaluates the paper-mode
-    evidential value of each, and counts a study as exceeding when its
-    lower bound reaches *v_threshold* (the conservative reading of an
-    interval).  Replication k uses the random stream ``default_rng((seed,
-    k))``, so the estimate is independent of scheduling and reproducible
-    bit-for-bit.  Blocks of replications are decided in numpy from log V
-    at both ends of the rounding intervals of r and q (see the module
-    docstring); the count is that of evaluating every
-    :func:`simulate_study`.
+    the means only through the contrast), and counts a study when the
+    lower end of its paper-mode V reaches *v_threshold* (the conservative
+    reading of an interval).  Stream contract: replication k draws 4n
+    standard normals from ``default_rng((seed, k))``, row 0 the shared draw
+    and rows 1-3 the errors of the three cells; the count is that of every
+    :func:`simulate_study` evaluated (see the module docstring).
     """
     if reps < 1000:
         raise ParameterError("reps must be at least 1000")
@@ -320,7 +351,6 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     if seed < 0:
         raise ParameterError("seed must be a non-negative integer")
     np = _numpy()
-    generator = np.random.Generator(np.random.PCG64())
     mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]
     n_float, log_v = float(params.n), math.log(v_threshold)
@@ -328,10 +358,7 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     block_reps = max(1, min(_BLOCK, _BLOCK_DRAWS // (4 * params.n)))
     draws = np.empty((block_reps, 4, params.n))
     count = 0
-    for first in range(0, reps, block_reps):
-        block = draws[: min(block_reps, reps - first)]
-        # row 0 is generate_errors' u draw, rows 1-3 its v draws
-        _standard_normals(block, seed, first, generator)
+    for block in _normal_blocks(draws, seed, 0, reps):
         with np.errstate(all="ignore"):
             data = mu + scale * block[:, 1:]
             means = data.mean(axis=2)

@@ -404,6 +404,23 @@ def test_simulate_command_reports_an_overflow(monkeypatch):
     assert (code, out, err) == (1, "", "error: overflow: Numerical result out of range\n")
 
 
+def test_simulate_command_reports_running_out_of_memory(monkeypatch):
+    # a huge --n asks numpy for a block it cannot allocate; the test only
+    # raises the error, so that no test allocates a huge array
+    from evidential import simulate
+
+    message = "Unable to allocate 2.91 TiB for an array with shape (1, 4, 100000000000)"
+    for args, problem in (((message,), f"out of memory: {message}"), ((), "out of memory")):
+
+        def exhausted(**kwargs):
+            raise MemoryError(*args)
+
+        monkeypatch.setattr(simulate, "null_exceedance", exhausted)
+        code, out, err = run(["simulate", "--n", "100000000000", "--sigma", "1,1,1",
+                              "--reps", "1000"])
+        assert (code, out, err) == (1, "", f"error: {problem}\n")
+
+
 def test_simulate_command_labels_v_so_that_it_reads_back():
     # %g where it reads back as v (so 2 stays "2"), repr where %g rounds
     for v, label in (("2", "2"), ("1e300", "1e+300"),

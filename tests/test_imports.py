@@ -44,3 +44,10 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_ctypes():
+    # simulate imports ctypes only to find a generator's state words
+    proc = _run("import sys, evidential.cli\nprint('ctypes' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

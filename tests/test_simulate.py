@@ -1,4 +1,6 @@
 import math
+import platform
+import sys
 import warnings
 
 import numpy as np
@@ -238,47 +240,87 @@ def test_null_exceedance_equals_the_per_replication_loop():
         (1e150, 1.0, 1.0),
         (1e-150, 1e-150, 1e-150),
     )
-    cases = [(n, sigma, thresholds, 23) for n in (2, 5, 20) for sigma in sigmas]
-    # at n = 1100 a block holds fewer replications, to bound its memory
-    cases.append((1100, sigmas[0], (2.0,), 23))
+    few = (1000, 4 * simulate._BLOCK + 1)
+    cases = [(n, sigma, thresholds, 23, few) for n in (2, 5, 20) for sigma in sigmas]
+    # 4097 replications end one past a chunk of 16 blocks of 256; at
+    # n = 1100 a block holds 238 replications, to bound its memory, so a
+    # chunk holds 3808 and 4097 ends inside the second block of the next
+    cases.append((20, sigmas[0], (2.0,), 23, few + (4096, 4097)))
+    cases.append((1100, sigmas[0], (2.0,), 23, few + (4097,)))
     # the largest seed whose states are computed in bulk, and the smallest
     # that builds a default_rng per replication
-    cases += [(20, sigmas[0], (2.0,), seed) for seed in (2**32 - 1, 2**32)]
-    for n, sigma, vs, seed in cases:
+    cases += [(20, sigmas[0], (2.0,), seed, few + (4097,)) for seed in (2**32 - 1, 2**32)]
+    for n, sigma, vs, seed, reps_list in cases:
         p = ModelParams(mu=(0, 0, 0), sigma=sigma, rho=NULL_RHO, n=n)
         lowers = [
             evidential_value(simulate_study(p, seed=(seed, rep)), Mode.PAPER).lower
-            for rep in range(4 * simulate._BLOCK + 1)
+            for rep in range(max(reps_list))
         ]
-        for reps in (1000, 4 * simulate._BLOCK + 1):
+        for reps in reps_list:
             for v in vs:
                 expected = sum(lower >= v for lower in lowers[:reps]) / reps
                 report = null_exceedance(n=n, sigma=sigma, v_threshold=v, reps=reps, seed=seed)
                 assert report.exceed_prob == expected, (n, sigma, reps, v, seed)
 
 
-def test_block_seeding_draws_the_default_rng_streams():
-    # the PCG64 states computed a block at a time are those default_rng
-    # builds, and the buffers drawn from them are the same bit for bit
+def test_block_seeding_draws_the_default_rng_streams(monkeypatch):
+    # the PCG64 state words computed a chunk at a time are those default_rng
+    # builds, and the buffers drawn from them are the same bit for bit,
+    # whether each replication writes its words into the generator or, with
+    # the layout probe failing, sets them through the state dict
     from evidential import simulate
 
-    generator = np.random.default_rng()
     n = 20
     out = np.empty((256, 4, n))
     expected = np.empty_like(out)
     for seed in (0, 1, 42, 2**31, 2**32 - 1):
         # 2**32 - 256 starts the last block whose indices are one uint32
-        # word; the block from 2**32 - 128 builds a default_rng per index
+        # word; the range from 2**32 - 128 is cut at 2**32, past which each
+        # index builds a default_rng
         for first in (0, 1, 1000, 2**32 - 256, 2**32 - 128):
             if first + len(out) <= 2**32:
-                states = simulate._pcg64_states(seed, first, len(out))
-                for i, (state, inc) in enumerate(states):
+                words = simulate._pcg64_states(seed, first, len(out))
+                assert words.shape == (len(out), 4) and words.dtype == np.uint64
+                for i, (low, high, inc_low, inc_high) in enumerate(words.tolist()):
                     reference = np.random.default_rng((seed, first + i)).bit_generator.state
-                    assert reference["state"] == {"state": state, "inc": inc}, (seed, first + i)
-            simulate._standard_normals(out, seed, first, generator)
+                    assert reference["state"] == {
+                        "state": high << 64 | low,
+                        "inc": inc_high << 64 | inc_low,
+                    }, (seed, first + i)
             for i, row in enumerate(expected):
                 np.random.default_rng((seed, first + i)).standard_normal(out=row)
-            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), (seed, first)
+            for direct in (True, False):
+                with monkeypatch.context() as patch:
+                    if not direct:
+                        patch.setattr(simulate, "_state_view", lambda bits: None)
+                    blocks = simulate._normal_blocks(out, seed, first, first + len(out))
+                    drawn = np.concatenate([block.copy() for block in blocks])
+                assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64)), (
+                    seed, first, direct
+                )
+
+
+@pytest.mark.skipif(
+    not (sys.platform == "linux" and platform.machine() == "x86_64"),
+    reason="the PCG64 state layout is only known to be checked on x86-64 Linux",
+)
+def test_layout_probe_accepts_the_pcg64_state_words(monkeypatch):
+    # a silent fallback to the dict setter would keep the bits but lose the
+    # speed: on x86-64 Linux numpy's state is four little-endian words
+    from evidential import simulate
+
+    bits = np.random.PCG64()
+    view = simulate._state_view(bits)
+    assert view is not None
+    view[:] = simulate._pcg64_states(42, 7, 1)[0]
+    assert bits.state == np.random.default_rng((42, 7)).bit_generator.state
+    # a state kept as (high, low) pairs, as numpy keeps it where the
+    # compiler has no 128-bit integer, reads back out of order
+    set_state = simulate._set_state
+    monkeypatch.setattr(
+        simulate, "_set_state", lambda bits, w: set_state(bits, (w[1], w[0], w[3], w[2]))
+    )
+    assert simulate._state_view(np.random.PCG64()) is None
 
 
 def count_engine_calls(monkeypatch):

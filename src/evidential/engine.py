@@ -54,7 +54,6 @@ __all__ = [
     "evidential_value",
     "log_value",
     "null_tail_probability",
-    "plugin_density",
     "profile_value",
     "threshold_ratio",
     "z_c_statistic",
@@ -97,15 +96,6 @@ class EvidentialValue(namedtuple("EvidentialValue", "lower upper case mode")):
     @property
     def is_unbounded(self) -> bool:
         return math.isinf(self.upper)
-
-
-def plugin_density(z: float, n: float, s_sq: float) -> float:
-    """Density of N(0, s_sq / n) at *z*: the plug-in law of the contrast."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if s_sq <= 0:
-        raise ValueError("s_sq must be positive")
-    return math.sqrt(n / (2.0 * math.pi * s_sq)) * math.exp(-n * z * z / (2.0 * s_sq))
 
 
 def log_value(r: float, q: float) -> float:

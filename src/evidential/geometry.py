@@ -9,9 +9,8 @@ valid correlation structure when the 3x3 correlation matrix
      [rho3, 1,    rho1],
      [rho2, rho1, 1   ]]
 
-is positive semidefinite, i.e. when ``elliptope_det(rho) >= 0`` and all
-``|rho_i| <= 1``; the open interior of that body (strict inequalities) is
-the admissible parameter region of the model.
+is positive semidefinite; the open interior of that body (a positive
+definite matrix) is the admissible parameter region of the model.
 
 For a study with cell standard deviations ``(s1, s2, s3)`` the plug-in
 standard deviation of the scaled contrast ``sqrt(n) * (x1 - 2*x2 + x3)``
@@ -20,10 +19,10 @@ is
     s(rho) = sqrt(s1^2 + 4 s2^2 + s3^2
                   - 4 s1 s2 rho3 + 2 s1 s3 rho2 - 4 s2 s3 rho1)
 
-This module evaluates ``s``, gives the infimum of ``s^2`` over the
-variance-reducing part of the admissible region in closed form, and
-collects the scale quantities of a study, as ratios to ``s0 = s(0, 0, 0)``,
-in one :class:`VarianceProfile`.
+This module gives the infimum of ``s^2`` over the variance-reducing part
+of the admissible region in closed form, and the paper's proxy for it, and
+collects the scale quantities of a study, as ratios to
+``s0 = s(0, 0, 0)``, in one :class:`VarianceProfile`.
 """
 
 from __future__ import annotations
@@ -33,87 +32,16 @@ from collections import namedtuple
 from decimal import Context, Decimal
 
 __all__ = [
-    "CorrelationTriple",
-    "GeometryError",
     "VarianceProfile",
-    "combined_sd",
     "contrast",
-    "elliptope_det",
     "exact_infimum_sq",
-    "is_interior",
     "paper_lower_bound_sq",
     "variance_profile",
 ]
 
-#: tolerated negative radicand before declaring an internal inconsistency
-RADICAND_TOL = 1e-12
-
 #: adds and subtracts the decimal forms of a few floats exactly (17
 #: significant digits at decimal exponents from -324 to 308)
 _EXACT = Context(prec=700)
-
-
-class GeometryError(RuntimeError):
-    """Internal inconsistency in the geometry layer."""
-
-
-def elliptope_det(rho) -> float:
-    """Determinant criterion of the correlation body.
-
-    Returns ``1 - rho1^2 - rho2^2 - rho3^2 + 2*rho1*rho2*rho3``, the
-    determinant of the 3x3 correlation matrix.  Accepts any triple of
-    reals; whether the value signals membership is the caller's question.
-    """
-    r1, r2, r3 = rho
-    return 1.0 - r1 * r1 - r2 * r2 - r3 * r3 + 2.0 * r1 * r2 * r3
-
-
-def is_interior(rho) -> bool:
-    """True when *rho* lies strictly inside the admissible region."""
-    return all(abs(r) < 1.0 for r in rho) and elliptope_det(rho) > 0.0
-
-
-class CorrelationTriple(namedtuple("CorrelationTriple", "rho1 rho2 rho3")):
-    """An admissible correlation triple (strict interior point).
-
-    Boundary points (``det == 0`` or ``|rho_i| == 1``) are deliberately not
-    representable: the variance floor is attained on the closure, but
-    model parameters must be proper correlation matrices.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rho1, rho2, rho3):
-        self = super().__new__(cls, rho1, rho2, rho3)
-        if not is_interior(self):
-            raise ValueError(
-                f"({rho1}, {rho2}, {rho3}) is not an interior "
-                "correlation triple: need |rho_i| < 1 and det > 0"
-            )
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
-
-
-def combined_sd(rho, sds) -> float:
-    """Plug-in standard deviation s(rho) of the scaled contrast.
-
-    ``rho`` must satisfy the admissibility invariants and ``sds`` must be
-    positive; then the radicand is a quadratic form of a valid covariance
-    matrix and cannot be negative beyond roundoff.
-    """
-    r1, r2, r3 = rho
-    s1, s2, s3 = sds
-    radicand = (
-        s1 * s1 + 4.0 * s2 * s2 + s3 * s3
-        - 4.0 * s1 * s2 * r3 + 2.0 * s1 * s3 * r2 - 4.0 * s2 * s3 * r1
-    )
-    if radicand < -RADICAND_TOL:
-        raise GeometryError(
-            f"negative contrast variance {radicand} for rho={tuple(rho)}, "
-            f"sds={tuple(sds)}; inputs violate the admissibility invariants"
-        )
-    return math.sqrt(max(0.0, radicand))
 
 
 def contrast(means) -> float:

@@ -1,10 +1,10 @@
-"""Ingestion, validation and serialization of published study summaries.
+"""Ingestion and validation of published study summaries.
 
 A "study" here is one three-cell ANOVA result as printed in a publication:
 the per-cell sample size ``n``, the three cell means and the three cell
 standard deviations.  Collections of studies are kept in a
-:class:`StudyLedger` and can be read from / written to a small CSV dialect
-(hand-typed tables) or a JSON mapping (tooling).
+:class:`StudyLedger` and are read from a small CSV dialect (hand-typed
+tables) or a JSON mapping (tooling).
 """
 
 from __future__ import annotations
@@ -265,29 +265,6 @@ def parse_ledger(text: str, source: str = "<string>") -> StudyLedger:
     if errors:
         raise errors[0]
     return ledger
-
-
-def ledger_to_mapping(ledger: StudyLedger) -> dict:
-    return {
-        "source": ledger.source,
-        "studies": [
-            {"id": s.id, "n": s.n, "means": list(s.means), "sds": list(s.sds)}
-            for s in ledger
-        ],
-    }
-
-
-def serialize_ledger(ledger: StudyLedger) -> str:
-    """Render a ledger as CSV text (12 significant digits, round-trip safe)."""
-    lines = [",".join(COLUMNS)]
-    for s in ledger:
-        if "," in s.id or "\n" in s.id:
-            raise LedgerError(f"study id {s.id!r} cannot be serialized to CSV")
-        fields = [s.id, f"{s.n:.12g}"]
-        fields += [f"{x:.12g}" for x in s.means]
-        fields += [f"{x:.12g}" for x in s.sds]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
 
 
 def load_ledger(path) -> StudyLedger:

@@ -1,29 +1,12 @@
-"""Synthetic three-cell data under integrity and under error copying.
+"""Monte Carlo calibration of V under data integrity.
 
-The copying mechanism models one concrete way to fake correlated cells:
-with shared standard normal draws U_j and private draws V_ij, the error of
-cell i in column j is
-
-    eps_ij = sigma_i * (Delta_ij * U_j + (1 - Delta_ij) * V_ij)
-
-where the Delta_ij are independent Bernoulli indicators with
-
-    P(Delta_1j = 1) = sqrt(rho2*rho3 / rho1)
-    P(Delta_2j = 1) = sqrt(rho1*rho3 / rho2)
-    P(Delta_3j = 1) = sqrt(rho1*rho2 / rho3)
-
-Whenever two cells both copy a column (both Deltas are 1), their
-standardized errors coincide exactly; the construction realizes pairwise
-correlations (rho3, rho2, rho1) between cells (1,2), (1,3) and (2,3).
-The probabilities only exist when all rho_i are positive and each pairwise
-product is dominated by the third coordinate; the independence null
-(rho = 0) is the Delta == 0 special case.
-
-Replication k of :func:`null_exceedance` draws from ``default_rng((seed,
-k))``, so Monte Carlo results are reproducible bit-for-bit however the
-replications are scheduled.  numpy is imported on first use (the module
-attribute ``np``), so importing this module, and the commands that never
-simulate, need the stdlib only.
+Stream contract, for any non-negative integer seed: replication k of
+:func:`null_exceedance` draws 4n standard normals from
+``default_rng((seed, k))``; rows 1-3 are the errors of the three cells,
+and row 0 is drawn but not used.  So Monte Carlo results are reproducible
+bit-for-bit however the replications are scheduled.  numpy is imported on
+first use (the module attribute ``np``), so importing this module, and the
+commands that never simulate, need the stdlib only.
 
 :func:`null_exceedance` evaluates replications in blocks: one draw call
 per replication into a shared buffer, after writing the PCG64 state words
@@ -52,14 +35,12 @@ from collections import namedtuple
 from functools import partial
 
 from .engine import Mode, evidential_value
-from .geometry import CorrelationTriple
 from .ledger import StudySummary
 
 __all__ = [
     "ModelParams",
     "ParameterError",
     "SimulationReport",
-    "copy_probabilities",
     "generate_errors",
     "null_exceedance",
     "simulate_study",
@@ -89,81 +70,46 @@ class ParameterError(ValueError):
     """Invalid simulation parameters."""
 
 
-class ModelParams(namedtuple("ModelParams", "mu sigma rho n")):
+def _whole(value, least, message):
+    # value as an int, when it is a whole number of at least *least*
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(message) from None
+    if whole != value or whole < least:
+        raise ParameterError(message)
+    return whole
+
+
+class ModelParams(namedtuple("ModelParams", "mu sigma n")):
     """Ground-truth parameters of one simulated study, checked when made."""
 
     __slots__ = ()
 
-    def __new__(cls, mu, sigma, rho, n):
+    def __new__(cls, mu, sigma, n):
         mu = tuple(float(x) for x in mu)
         sigma = tuple(float(s) for s in sigma)
-        if not isinstance(rho, CorrelationTriple):
-            rho = CorrelationTriple(*rho)
         if len(mu) != 3 or len(sigma) != 3:
             raise ParameterError("mu and sigma must have exactly three entries")
         if not all(math.isfinite(x) for x in mu + sigma):
             raise ParameterError("mu and sigma must be finite")
         if any(s <= 0 for s in sigma):
             raise ParameterError("sigma must be positive")
-        if int(n) != n or n < 1:
-            raise ParameterError("n must be a positive integer")
-        return super().__new__(cls, mu, sigma, rho, int(n))
+        return super().__new__(cls, mu, sigma, _whole(n, 1, "n must be a positive integer"))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
-def copy_probabilities(rho) -> tuple[float, float, float]:
-    """Per-cell Bernoulli copy probabilities for the target correlations.
-
-    Returns (0, 0, 0) for the independence null.  Raises
-    :class:`ParameterError` naming the violated product condition when a
-    probability would fall outside [0, 1].
-    """
-    r1, r2, r3 = rho
-    if r1 == 0.0 and r2 == 0.0 and r3 == 0.0:
-        return (0.0, 0.0, 0.0)
-    if not (r1 > 0 and r2 > 0 and r3 > 0):
-        raise ParameterError(
-            "the copying mechanism needs all rho_i > 0 (or all zero for the null), "
-            f"got {tuple(rho)}"
-        )
-    conditions = (
-        (r2 * r3, r1, "rho2*rho3 <= rho1"),
-        (r1 * r3, r2, "rho1*rho3 <= rho2"),
-        (r1 * r2, r3, "rho1*rho2 <= rho3"),
-    )
-    for product, bound, label in conditions:
-        if product > bound:
-            raise ParameterError(
-                f"copy probability would exceed 1: condition {label} is violated "
-                f"({product:.6g} > {bound:.6g})"
-            )
-    return (
-        math.sqrt(r2 * r3 / r1),
-        math.sqrt(r1 * r3 / r2),
-        math.sqrt(r1 * r2 / r3),
-    )
-
-
 def generate_errors(params: ModelParams, seed) -> np.ndarray:
-    """Draw the 3 x n error matrix for one study.
+    """Draw the 3 x n error matrix of one study, independent across cells.
 
     Deterministic given *seed* (anything acceptable to
-    :func:`numpy.random.default_rng`).  Draw order is fixed: shared column
-    draws U, private draws V, then the copy indicators.
+    :func:`numpy.random.default_rng`): rows 1-3 of its first 4 x n
+    standard normals, scaled by sigma, as in the stream contract.
     """
     np = _numpy()
-    probs = copy_probabilities(params.rho)
-    rng = np.random.default_rng(seed)
-    n = params.n
-    u = rng.standard_normal(n)
-    v = rng.standard_normal((3, n))
-    if probs == (0.0, 0.0, 0.0):
-        standardized = v
-    else:
-        delta = rng.random((3, n)) < np.asarray(probs)[:, None]
-        standardized = np.where(delta, u[None, :], v)
-    return np.asarray(params.sigma)[:, None] * standardized
+    normals = np.random.default_rng(seed).standard_normal((4, params.n))
+    return np.asarray(params.sigma)[:, None] * normals[1:]
 
 
 def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummary:
@@ -220,14 +166,26 @@ _PCG64_MULT_LOW, _PCG64_MULT_HIGH = 0x4385DF649FCCF645, 0x2360ED051FC65DA4
 _WORD, _LOW32 = 1 << 32, 0xFFFFFFFF
 
 
+def _words(value):
+    # SeedSequence's uint32 words of a non-negative int, least significant first
+    return [value >> shift & _LOW32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
 def _pcg64_states(seed, first, count):
     """The PCG64 states of ``default_rng((seed, k))`` for the *count*
-    replications k from *first* on (*seed* and every k below 2**32), as
-    uint64 rows of state low, state high, inc low and inc high: SeedSequence
-    hashes [seed, k] into the words w0..w3 from which PCG64 seeds itself, on
-    arrays with one element per replication (128 bits as two uint64 limbs).
+    replications k from *first* on, as uint64 rows of state low, state
+    high, inc low and inc high.  SeedSequence hashes the uint32 words of
+    seed and then of k, zero-padded to its 4-word pool and mixed in by one
+    more round each past the fourth, into the words w0..w3 from which PCG64
+    seeds itself; here on arrays with one element per replication (128 bits
+    as two uint64 limbs).
     """
     np = _numpy()
+    cut = (first | _LOW32) + 1
+    if first + count > cut:
+        # k's words above the lowest change at each multiple of 2**32
+        head = _pcg64_states(seed, first, cut - first)
+        return np.concatenate((head, _pcg64_states(seed, cut, first + count - cut)))
 
     def hasher(const, mult):
         # SeedSequence's hash, whose constant steps on with every call
@@ -240,15 +198,24 @@ def _pcg64_states(seed, first, count):
 
         return hash_word
 
+    def mix(x, y):
+        mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return mixed ^ (mixed >> 16)
+
     hashmix = hasher(_INIT_A, _MULT_A)
     zero = np.zeros(count, np.uint32)
-    entropy = (zero + seed, np.arange(first, first + count, dtype=np.uint32), zero, zero)
-    pool = [hashmix(word) for word in entropy]
+    k_low, *k_high = _words(first)
+    k = np.arange(k_low, k_low + count, dtype=np.uint32)
+    entropy = [zero + word for word in _words(seed)] + [k] + [zero + word for word in k_high]
+    entropy += [zero] * (4 - len(entropy))
+    pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
     hash_out = hasher(_INIT_B, _MULT_B)
     halves = [hash_out(pool[i % 4]).astype(np.uint64) for i in range(8)]
     # little-endian pairs of uint32 words make the uint64 words
@@ -298,25 +265,19 @@ def _standard_normals(out, words, set_state, normal):
 def _normal_blocks(draws, seed, first, end):
     """Yield ``draws[:m]`` filled with the first standard normals of
     ``default_rng((seed, k))``, for successive blocks of the k from *first*
-    to *end*: seeded _CHUNK_BLOCKS blocks at a time where *seed* and k fit
-    one uint32 word (no chunk crosses 2**32), by ``default_rng`` elsewhere.
+    to *end*, seeded _CHUNK_BLOCKS blocks at a time.
     """
     np = _numpy()
     bits = np.random.PCG64()
     normal, view = np.random.Generator(bits).standard_normal, _state_view(bits)
     set_state = partial(_set_state, bits) if view is None else partial(view.__setitem__, ...)
-    while first < end:
-        stop = min(end, first + _CHUNK_BLOCKS * len(draws), _WORD if first < _WORD else end)
-        words = _pcg64_states(seed, first, stop - first) if seed < _WORD and stop <= _WORD else None
-        for start in range(first, stop, len(draws)):
+    for chunk in range(first, end, _CHUNK_BLOCKS * len(draws)):
+        stop = min(end, chunk + _CHUNK_BLOCKS * len(draws))
+        words = _pcg64_states(seed, chunk, stop - chunk)
+        for start in range(chunk, stop, len(draws)):
             out = draws[: stop - start]
-            if words is None:
-                for k, row in enumerate(out, start):
-                    np.random.default_rng((seed, k)).standard_normal(out=row)
-            else:
-                _standard_normals(out, words[start - first :], set_state, normal)
+            _standard_normals(out, words[start - chunk :], set_state, normal)
             yield out
-        first = stop
 
 
 def _log_values(r, q):
@@ -335,21 +296,17 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     the linear constraint (mu = 0 without loss of generality: V depends on
     the means only through the contrast), and counts a study when the
     lower end of its paper-mode V reaches *v_threshold* (the conservative
-    reading of an interval).  Stream contract: replication k draws 4n
-    standard normals from ``default_rng((seed, k))``, row 0 the shared draw
-    and rows 1-3 the errors of the three cells; the count is that of every
-    :func:`simulate_study` evaluated (see the module docstring).
+    reading of an interval).  Replication k draws by the stream contract,
+    and the count is that of every :func:`simulate_study` evaluated (see
+    the module docstring).
     """
-    if reps < 1000:
-        raise ParameterError("reps must be at least 1000")
+    reps = _whole(reps, 1000, "reps must be an integer of at least 1000")
     if not 1.0 < v_threshold < math.inf:
         raise ParameterError("v must exceed 1 and be finite")
-    params = ModelParams(mu=(0.0, 0.0, 0.0), sigma=tuple(sigma), rho=(0.0, 0.0, 0.0), n=int(n))
+    params = ModelParams(mu=(0.0, 0.0, 0.0), sigma=tuple(sigma), n=n)
     if params.n < 2:
         raise ParameterError("n >= 2 required for sample sd")
-    seed = int(seed)
-    if seed < 0:
-        raise ParameterError("seed must be a non-negative integer")
+    seed = _whole(seed, 0, "seed must be a non-negative integer")
     np = _numpy()
     mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]

@@ -10,15 +10,21 @@ shares code with the production closed form
 
 :func:`conditional_null_tail` is the model reference for the Monte Carlo
 estimate of :func:`evidential.simulate.null_exceedance`.
+
+The correlation body and its contrast sd, the plug-in density, the
+error-copying generator and the ledger writers are here too: the tests
+use them, and no command does.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.special import erf
 
 from evidential.engine import threshold_ratio
-from evidential.ledger import StudySummary
+from evidential.ledger import COLUMNS, LedgerError, StudySummary
+from evidential.simulate import ParameterError
 
 
 class SolverError(RuntimeError):
@@ -274,3 +280,179 @@ def random_interior_rho(rng):
         det = 1.0 - r1 * r1 - r2 * r2 - r3 * r3 + 2.0 * r1 * r2 * r3
         if det > 1e-9 and np.all(np.abs(r) < 1.0 - 1e-9):
             return tuple(r.tolist())
+
+
+# --- the correlation body --------------------------------------------------
+
+#: tolerated negative radicand before declaring an internal inconsistency
+RADICAND_TOL = 1e-12
+
+
+class GeometryError(RuntimeError):
+    """Internal inconsistency in the geometry layer."""
+
+
+def elliptope_det(rho) -> float:
+    """Determinant criterion of the correlation body.
+
+    Returns ``1 - rho1^2 - rho2^2 - rho3^2 + 2*rho1*rho2*rho3``, the
+    determinant of the 3x3 correlation matrix.  Accepts any triple of
+    reals; whether the value signals membership is the caller's question.
+    """
+    r1, r2, r3 = rho
+    return 1.0 - r1 * r1 - r2 * r2 - r3 * r3 + 2.0 * r1 * r2 * r3
+
+
+def is_interior(rho) -> bool:
+    """True when *rho* lies strictly inside the admissible region."""
+    return all(abs(r) < 1.0 for r in rho) and elliptope_det(rho) > 0.0
+
+
+class CorrelationTriple(namedtuple("CorrelationTriple", "rho1 rho2 rho3")):
+    """An admissible correlation triple (strict interior point).
+
+    Boundary points (``det == 0`` or ``|rho_i| == 1``) are deliberately not
+    representable: the variance floor is attained on the closure, but
+    model parameters must be proper correlation matrices.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rho1, rho2, rho3):
+        self = super().__new__(cls, rho1, rho2, rho3)
+        if not is_interior(self):
+            raise ValueError(
+                f"({rho1}, {rho2}, {rho3}) is not an interior "
+                "correlation triple: need |rho_i| < 1 and det > 0"
+            )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
+
+
+def combined_sd(rho, sds) -> float:
+    """Plug-in standard deviation s(rho) of the scaled contrast.
+
+    ``rho`` must satisfy the admissibility invariants and ``sds`` must be
+    positive; then the radicand is a quadratic form of a valid covariance
+    matrix and cannot be negative beyond roundoff.
+    """
+    r1, r2, r3 = rho
+    s1, s2, s3 = sds
+    radicand = (
+        s1 * s1 + 4.0 * s2 * s2 + s3 * s3
+        - 4.0 * s1 * s2 * r3 + 2.0 * s1 * s3 * r2 - 4.0 * s2 * s3 * r1
+    )
+    if radicand < -RADICAND_TOL:
+        raise GeometryError(
+            f"negative contrast variance {radicand} for rho={tuple(rho)}, "
+            f"sds={tuple(sds)}; inputs violate the admissibility invariants"
+        )
+    return math.sqrt(max(0.0, radicand))
+
+
+def plugin_density(z: float, n: float, s_sq: float) -> float:
+    """Density of N(0, s_sq / n) at *z*: the plug-in law of the contrast."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if s_sq <= 0:
+        raise ValueError("s_sq must be positive")
+    return math.sqrt(n / (2.0 * math.pi * s_sq)) * math.exp(-n * z * z / (2.0 * s_sq))
+
+
+# --- error copying -----------------------------------------------------------
+#
+# One concrete way to fake correlated cells: with shared standard normal
+# draws U_j and private draws V_ij, the error of cell i in column j is
+#
+#     eps_ij = sigma_i * (Delta_ij * U_j + (1 - Delta_ij) * V_ij)
+#
+# where the Delta_ij are independent Bernoulli indicators with
+#
+#     P(Delta_1j = 1) = sqrt(rho2*rho3 / rho1)
+#     P(Delta_2j = 1) = sqrt(rho1*rho3 / rho2)
+#     P(Delta_3j = 1) = sqrt(rho1*rho2 / rho3)
+#
+# Whenever two cells both copy a column (both Deltas are 1), their
+# standardized errors coincide exactly; the construction realizes pairwise
+# correlations (rho3, rho2, rho1) between cells (1,2), (1,3) and (2,3).
+# The probabilities only exist when all rho_i are positive and each pairwise
+# product is dominated by the third coordinate; the independence null
+# (rho = 0) is the Delta == 0 special case.
+
+
+def copy_probabilities(rho) -> tuple[float, float, float]:
+    """Per-cell Bernoulli copy probabilities for the target correlations.
+
+    Returns (0, 0, 0) for the independence null.  Raises
+    :class:`ParameterError` naming the violated product condition when a
+    probability would fall outside [0, 1].
+    """
+    r1, r2, r3 = rho
+    if r1 == 0.0 and r2 == 0.0 and r3 == 0.0:
+        return (0.0, 0.0, 0.0)
+    if not (r1 > 0 and r2 > 0 and r3 > 0):
+        raise ParameterError(
+            "the copying mechanism needs all rho_i > 0 (or all zero for the null), "
+            f"got {tuple(rho)}"
+        )
+    conditions = (
+        (r2 * r3, r1, "rho2*rho3 <= rho1"),
+        (r1 * r3, r2, "rho1*rho3 <= rho2"),
+        (r1 * r2, r3, "rho1*rho2 <= rho3"),
+    )
+    for product, bound, label in conditions:
+        if product > bound:
+            raise ParameterError(
+                f"copy probability would exceed 1: condition {label} is violated "
+                f"({product:.6g} > {bound:.6g})"
+            )
+    return (
+        math.sqrt(r2 * r3 / r1),
+        math.sqrt(r1 * r3 / r2),
+        math.sqrt(r1 * r2 / r3),
+    )
+
+
+def copying_errors(sigma, rho, n, seed):
+    """The 3 x n error matrix under error copying at the interior triple *rho*.
+
+    Deterministic given *seed*; the draw order is fixed: shared column
+    draws U, private draws V, then the copy indicators (none at rho = 0).
+    """
+    probs = copy_probabilities(CorrelationTriple(*rho))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    v = rng.standard_normal((3, n))
+    if probs == (0.0, 0.0, 0.0):
+        standardized = v
+    else:
+        delta = rng.random((3, n)) < np.asarray(probs)[:, None]
+        standardized = np.where(delta, u[None, :], v)
+    return np.asarray(sigma, dtype=float)[:, None] * standardized
+
+
+# --- ledger writers ----------------------------------------------------------
+
+
+def ledger_to_mapping(ledger) -> dict:
+    return {
+        "source": ledger.source,
+        "studies": [
+            {"id": s.id, "n": s.n, "means": list(s.means), "sds": list(s.sds)}
+            for s in ledger
+        ],
+    }
+
+
+def serialize_ledger(ledger) -> str:
+    """Render a ledger as CSV text (12 significant digits, round-trip safe)."""
+    lines = [",".join(COLUMNS)]
+    for s in ledger:
+        if "," in s.id or "\n" in s.id:
+            raise LedgerError(f"study id {s.id!r} cannot be serialized to CSV")
+        fields = [s.id, f"{s.n:.12g}"]
+        fields += [f"{x:.12g}" for x in s.means]
+        fields += [f"{x:.12g}" for x in s.sds]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"

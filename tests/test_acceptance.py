@@ -20,11 +20,10 @@ from evidential.engine import (
     z_v_statistic,
 )
 from evidential.geometry import exact_infimum_sq, paper_lower_bound_sq
-from evidential.geometry import CorrelationTriple
 from evidential.ledger import StudySummary
-from evidential.simulate import ModelParams, generate_errors, null_exceedance
+from evidential.simulate import null_exceedance
 
-from helpers import numeric_infimum_sq, random_study
+from helpers import copying_errors, numeric_infimum_sq, random_study
 
 INF = math.inf
 
@@ -270,15 +269,10 @@ def test_criterion_6_null_calibration_and_correlations():
     gap = abs(report.exceed_prob - 0.2504)
     slack = max(3 * report.mc_stderr, 0.015)
 
-    params = ModelParams(
-        mu=(0.0, 0.0, 0.0),
-        sigma=(1.0, 1.0, 1.0),
-        rho=CorrelationTriple(0.5, 0.5, 0.5),
-        n=100_000,
-    )
-    eps = generate_errors(params, seed=4242)
+    n = 100_000
+    eps = copying_errors((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), n, seed=4242)
     corr = np.corrcoef(eps)
-    bound = 4.0 / math.sqrt(params.n)
+    bound = 4.0 / math.sqrt(n)
     corr_ok = all(
         abs(corr[i, j] - 0.5) <= bound for i, j in ((0, 1), (0, 2), (1, 2))
     )

@@ -8,7 +8,9 @@ import pytest
 
 from evidential.cli import build_parser, main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
-from evidential.ledger import StudyLedger, StudySummary, serialize_ledger
+from evidential.ledger import StudyLedger, StudySummary
+
+from helpers import CorrelationTriple, serialize_ledger
 
 INF = math.inf
 HEADER_LINE = b"id,n,x1,x2,x3,s1,s2,s3\n"
@@ -92,7 +94,7 @@ def test_compute_reference_rendered_column(reference):
 
 def test_records_are_read_only(reference):
     from evidential.cli import build_rows
-    from evidential.geometry import CorrelationTriple, variance_profile
+    from evidential.geometry import variance_profile
     from evidential.simulate import ModelParams, SimulationReport
 
     study = reference.studies[0]
@@ -103,7 +105,7 @@ def test_records_are_read_only(reference):
         CorrelationTriple(0.0, 0.0, 0.0),
         evidential_value(study),
         combine([evidential_value(study)]),
-        ModelParams((0, 0, 0), (1, 1, 1), (0, 0, 0), 20),
+        ModelParams((0, 0, 0), (1, 1, 1), 20),
         SimulationReport(1000, 1, 2.0, 0.25, 0.01),
         build_rows([study], Mode.PAPER)[0],
     ]

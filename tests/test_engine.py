@@ -18,7 +18,6 @@ from evidential.engine import (
     evidential_value,
     log_value,
     null_tail_probability,
-    plugin_density,
     threshold_ratio,
     z_c_statistic,
     z_v_statistic,
@@ -28,7 +27,7 @@ from evidential.cli import main, render_value
 from evidential.geometry import contrast, variance_profile
 from evidential.ledger import LedgerError, StudySummary
 
-from helpers import random_study
+from helpers import plugin_density, random_study
 
 INF = math.inf
 

@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidential.geometry import (
-    CorrelationTriple,
-    GeometryError,
-    combined_sd,
     contrast,
-    elliptope_det,
     exact_infimum_sq,
-    is_interior,
     paper_lower_bound_sq,
     variance_profile,
 )
 from evidential.ledger import LedgerError, StudySummary
 
 from helpers import (
+    CorrelationTriple,
+    GeometryError,
     brute_force_infimum_sq,
+    combined_sd,
+    elliptope_det,
+    is_interior,
     numeric_infimum_sq,
     random_interior_rho,
     random_sds,

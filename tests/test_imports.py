@@ -51,3 +51,24 @@ def test_cli_import_loads_no_ctypes():
     proc = _run("import sys, evidential.cli\nprint('ctypes' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_finds_its_targets():
+    # perfbench/tracer.py looks its functions up by name after the command
+    # line is imported, and reads evidential.simulate from sys.modules: a
+    # deletion that breaks either breaks the traced benchmark run
+    tracer = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    proc = _run(
+        "import importlib.util, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "import evidential.cli\n"
+        "missing = [(m, a) for m, a, _ in tracer.TARGETS\n"
+        "           if not hasattr(sys.modules.get('evidential.' + m), a)]\n"
+        "print(missing, 'evidential.simulate' in sys.modules)",
+        os.path.abspath(tracer),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] True"

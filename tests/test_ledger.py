@@ -8,13 +8,13 @@ from evidential.ledger import (
     LedgerError,
     StudyLedger,
     StudySummary,
-    ledger_to_mapping,
     parse_ledger,
     parse_ledger_lenient,
-    serialize_ledger,
     study_warnings,
     validate,
 )
+
+from helpers import ledger_to_mapping, serialize_ledger
 
 HEADER = ",".join(COLUMNS)
 

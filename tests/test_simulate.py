@@ -7,25 +7,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from evidential.geometry import CorrelationTriple
 from evidential.ledger import LedgerError
 from evidential.simulate import (
     ModelParams,
     ParameterError,
-    copy_probabilities,
     generate_errors,
     null_exceedance,
     simulate_study,
 )
 
-from helpers import conditional_null_tail
+from helpers import CorrelationTriple, conditional_null_tail, copy_probabilities, copying_errors
 
 RHO_HALF = CorrelationTriple(0.5, 0.5, 0.5)
-NULL_RHO = CorrelationTriple(0.0, 0.0, 0.0)
 
 
-def params(mu=(0, 0, 0), sigma=(1, 1, 1), rho=NULL_RHO, n=100):
-    return ModelParams(mu=mu, sigma=sigma, rho=rho, n=n)
+def params(mu=(0, 0, 0), sigma=(1, 1, 1), n=100):
+    return ModelParams(mu=mu, sigma=sigma, n=n)
 
 
 # --- parameter validation ---------------------------------------------------
@@ -70,8 +67,11 @@ def test_model_params_validation():
     with pytest.raises(ParameterError, match="positive integer"):
         params()._replace(n=0)
     assert params()._replace(n=5.0).n == 5 and type(params()._replace(n=5.0).n) is int
+    for bad in (math.inf, math.nan, 2.5, "20"):
+        with pytest.raises(ParameterError, match="^n must be a positive integer$"):
+            params(n=bad)
     with pytest.raises(ValueError):
-        params(rho=(1.0, 1.0, 1.0))  # boundary triple is not admissible
+        copying_errors((1, 1, 1), (1.0, 1.0, 1.0), 20, seed=0)  # boundary triple is not admissible
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="mu and sigma must be finite"):
             params(sigma=(bad, 1, 1))
@@ -82,13 +82,15 @@ def test_model_params_validation():
 # --- error generation --------------------------------------------------------
 
 def test_generate_errors_deterministic():
-    p = params(rho=RHO_HALF, n=500)
+    p = params(sigma=(2.0, 1.0, 0.5), n=500)
     a = generate_errors(p, seed=123)
     b = generate_errors(p, seed=123)
     c = generate_errors(p, seed=124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (3, 500)
+    # the draws of the copying generator at rho = 0
+    assert np.array_equal(a, copying_errors(p.sigma, (0.0, 0.0, 0.0), p.n, seed=123))
 
 
 def test_null_errors_are_uncorrelated():
@@ -105,15 +107,15 @@ def test_copying_identity_and_stream_layout():
     # whenever two cells both copy a column, their standardized errors match
     # (power-of-two sigmas so the scaling round-trips exactly in floats)
     sigma = (2.0, 1.0, 0.5)
-    p = params(sigma=sigma, rho=RHO_HALF, n=20_000)
+    n = 20_000
     seed = 99
-    eps = generate_errors(p, seed=seed)
+    eps = copying_errors(sigma, RHO_HALF, n, seed=seed)
 
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(p.n)
-    v = rng.standard_normal((3, p.n))
+    u = rng.standard_normal(n)
+    v = rng.standard_normal((3, n))
     probs = np.asarray(copy_probabilities(RHO_HALF))
-    delta = rng.random((3, p.n)) < probs[:, None]
+    delta = rng.random((3, n)) < probs[:, None]
     expected = np.asarray(sigma)[:, None] * np.where(delta, u[None, :], v)
     assert np.array_equal(eps, expected)
 
@@ -123,16 +125,16 @@ def test_copying_identity_and_stream_layout():
     assert np.array_equal(standardized[0, both], standardized[1, both])
     assert np.array_equal(standardized[0, both], u[both])
     # both-copy events happen with probability rho3 = 0.5
-    assert both.mean() == pytest.approx(0.5, abs=4.0 / math.sqrt(p.n))
+    assert both.mean() == pytest.approx(0.5, abs=4.0 / math.sqrt(n))
 
 
 def test_marginals_stay_normal_under_copying():
     sigma = (1.5, 1.0, 0.5)
-    p = params(sigma=sigma, rho=RHO_HALF, n=10_000)
+    n = 10_000
     # 1% asymptotic Kolmogorov-Smirnov critical value
-    critical = 1.63 / math.sqrt(p.n)
+    critical = 1.63 / math.sqrt(n)
     for seed in (0, 1, 2):
-        eps = generate_errors(p, seed=seed)
+        eps = copying_errors(sigma, RHO_HALF, n, seed=seed)
         for i in range(3):
             d = stats.kstest(eps[i], "norm", args=(0.0, sigma[i])).statistic
             assert d < critical
@@ -142,8 +144,7 @@ def test_empirical_correlations_match_targets():
     n = 100_000
     bound = 4.0 / math.sqrt(n)
     for rho in ((0.5, 0.5, 0.5), (0.3, 0.2, 0.4)):
-        p = params(rho=CorrelationTriple(*rho), n=n)
-        eps = generate_errors(p, seed=11)
+        eps = copying_errors((1, 1, 1), rho, n, seed=11)
         corr = np.corrcoef(eps)
         # pairwise correlations are (rho3, rho2, rho1) for (12, 13, 23)
         assert corr[0, 1] == pytest.approx(rho[2], abs=bound)
@@ -210,7 +211,7 @@ def test_null_exceedance_is_schedule_independent():
     # per-replication streams are keyed by (seed, rep), so evaluating the
     # replications in any order reproduces the same count
     report = null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=1200, seed=31)
-    p = ModelParams(mu=(0, 0, 0), sigma=(1, 1, 1), rho=NULL_RHO, n=20)
+    p = ModelParams(mu=(0, 0, 0), sigma=(1, 1, 1), n=20)
     from evidential.engine import Mode, evidential_value
 
     count = 0
@@ -247,11 +248,11 @@ def test_null_exceedance_equals_the_per_replication_loop():
     # chunk holds 3808 and 4097 ends inside the second block of the next
     cases.append((20, sigmas[0], (2.0,), 23, few + (4096, 4097)))
     cases.append((1100, sigmas[0], (2.0,), 23, few + (4097,)))
-    # the largest seed whose states are computed in bulk, and the smallest
-    # that builds a default_rng per replication
-    cases += [(20, sigmas[0], (2.0,), seed, few + (4097,)) for seed in (2**32 - 1, 2**32)]
+    # seeds of one, two, three and five uint32 words
+    seeds = (2**32 - 1, 2**32, 2**64, 10**40)
+    cases += [(20, sigmas[0], (2.0,), seed, few + (4097,)) for seed in seeds]
     for n, sigma, vs, seed, reps_list in cases:
-        p = ModelParams(mu=(0, 0, 0), sigma=sigma, rho=NULL_RHO, n=n)
+        p = ModelParams(mu=(0, 0, 0), sigma=sigma, n=n)
         lowers = [
             evidential_value(simulate_study(p, seed=(seed, rep)), Mode.PAPER).lower
             for rep in range(max(reps_list))
@@ -273,20 +274,20 @@ def test_block_seeding_draws_the_default_rng_streams(monkeypatch):
     n = 20
     out = np.empty((256, 4, n))
     expected = np.empty_like(out)
-    for seed in (0, 1, 42, 2**31, 2**32 - 1):
+    # seeds of one to five uint32 words: with k, SeedSequence's entropy
+    # fills its pool of four words or runs past it
+    for seed in (0, 1, 42, 2**31, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 10**40):
         # 2**32 - 256 starts the last block whose indices are one uint32
-        # word; the range from 2**32 - 128 is cut at 2**32, past which each
-        # index builds a default_rng
+        # word; the range from 2**32 - 128 holds indices of one and of two
         for first in (0, 1, 1000, 2**32 - 256, 2**32 - 128):
-            if first + len(out) <= 2**32:
-                words = simulate._pcg64_states(seed, first, len(out))
-                assert words.shape == (len(out), 4) and words.dtype == np.uint64
-                for i, (low, high, inc_low, inc_high) in enumerate(words.tolist()):
-                    reference = np.random.default_rng((seed, first + i)).bit_generator.state
-                    assert reference["state"] == {
-                        "state": high << 64 | low,
-                        "inc": inc_high << 64 | inc_low,
-                    }, (seed, first + i)
+            words = simulate._pcg64_states(seed, first, len(out))
+            assert words.shape == (len(out), 4) and words.dtype == np.uint64
+            for i, (low, high, inc_low, inc_high) in enumerate(words.tolist()):
+                reference = np.random.default_rng((seed, first + i)).bit_generator.state
+                assert reference["state"] == {
+                    "state": high << 64 | low,
+                    "inc": inc_high << 64 | inc_low,
+                }, (seed, first + i)
             for i, row in enumerate(expected):
                 np.random.default_rng((seed, first + i)).standard_normal(out=row)
             for direct in (True, False):
@@ -361,7 +362,7 @@ def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
     from evidential import simulate
     from evidential.engine import Mode, evidential_value
 
-    p = ModelParams(mu=(0, 0, 0), sigma=(1.5, 0.7, 2.0), rho=NULL_RHO, n=20)
+    p = ModelParams(mu=(0, 0, 0), sigma=(1.5, 0.7, 2.0), n=20)
     lowers = [
         evidential_value(simulate_study(p, seed=(5, rep)), Mode.PAPER).lower
         for rep in range(1000)
@@ -395,8 +396,12 @@ def test_null_exceedance_parameter_errors():
             null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=v, reps=2000, seed=1)
     with pytest.raises(ParameterError, match="n >= 2"):
         null_exceedance(n=1, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=1)
-    with pytest.raises(ParameterError, match="^seed must be a non-negative integer$"):
-        null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=-1)
+    for seed in (-1, 1.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^seed must be a non-negative integer$"):
+            null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=seed)
+    for reps in (1000.5, 999, math.inf):
+        with pytest.raises(ParameterError, match="^reps must be an integer of at least 1000$"):
+            null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=reps, seed=1)
 
 
 def test_mu_on_the_constraint_changes_nothing():

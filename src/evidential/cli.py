@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -216,9 +217,27 @@ def cmd_threshold(args, out=None, err=None) -> int:
     return EXIT_OK
 
 
+def _load_numpy():
+    # simulate multiplies no matrices, so OpenBLAS's worker pool would only
+    # cost start-up time; OpenBLAS reads its thread count once, as it loads,
+    # and a caller's own setting, or a numpy already loaded, is left alone
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        return simulate.np
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return simulate.np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def cmd_simulate(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    try:
+        _load_numpy()
+    except ImportError as exc:
+        err.write(f"error: simulate needs numpy: {exc}\n")
+        return EXIT_COMPUTE
     try:
         sigma = tuple(float(s) for s in args.sigma.split(","))
         if len(sigma) != 3:

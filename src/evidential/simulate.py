@@ -6,15 +6,18 @@ Stream contract, for any non-negative integer seed: replication k of
 and row 0 is drawn but not used.  So Monte Carlo results are reproducible
 bit-for-bit however the replications are scheduled.  numpy is imported on
 first use (the module attribute ``np``), so importing this module, and the
-commands that never simulate, need the stdlib only.
+commands that never simulate, need the stdlib only.  Nothing here
+multiplies matrices: the ``simulate`` command loads numpy with one
+OpenBLAS thread unless its caller set ``OPENBLAS_NUM_THREADS``.
 
 :func:`null_exceedance` evaluates replications in blocks: one draw call
 per replication into a shared buffer, after writing the PCG64 state words
 that :func:`_pcg64_states` computes on uint64 limbs, 16 blocks at a time,
 into the generator's memory (through its state dict where a probe of that
-memory fails, see :func:`_normal_blocks`); the means and sds of the whole
-block in numpy (the same floats as :func:`simulate_study`); and then a
-decision in numpy by the engine's own formula,
+memory fails, see :func:`_normal_blocks`); then the means and sds of the
+whole block in one pass that forms each mean once (:func:`_summaries`, the
+same floats as :func:`simulate_study`'s ``mean`` and ``std``).  Each chunk
+of 16 blocks is then decided at once in numpy by the engine's own formula,
 :func:`~evidential.engine.log_value`.  log V is non-increasing in
 ``r = |Z_V|`` and in the floor ratio ``q``, and the engine's r and q lie
 between those of the float contrast lowered and raised by a bound on its
@@ -289,6 +292,61 @@ def _log_values(r, q):
     return -np.log(s) + 0.5 * (r * r - t * t)
 
 
+def _summaries(data, n, means, sds):
+    """Write ``data.mean(axis=2)`` into *means* and ``data.std(axis=2,
+    ddof=1)`` into *sds*, bit for bit, from one mean: the ufunc steps of
+    numpy's own ``_mean`` and ``_var``.  *data* is overwritten.
+    """
+    np = _numpy()
+    with np.errstate(all="ignore"):
+        mean = np.add.reduce(data, axis=2, keepdims=True)
+        mean /= n
+        means[...] = mean[..., 0]
+        np.subtract(data, mean, out=data)
+        np.square(data, out=data)
+        np.add.reduce(data, axis=2, out=sds)
+        sds /= n - 1
+        np.sqrt(sds, out=sds)
+
+
+def _count_exceeding(means, sds, n, v_threshold):
+    """How many rows of *means* and *sds* (one study of size *n* each)
+    have a paper-mode V whose lower end reaches *v_threshold*."""
+    np = _numpy()
+    n_float, log_v = float(n), math.log(v_threshold)
+    root_n = math.sqrt(n_float)
+    with np.errstate(all="ignore"):
+        # Both sides work in the same power-of-two unit.  The decimal z is
+        # within 2**-1073 + eps/2 of the exact sum of the means, the float
+        # contrast within 1.5*eps*(|x1| + 2|x2| + |x3|) of it, so the
+        # engine's r lies between r_low and r_high up to the few eps of its
+        # own s0, and its own hypot keeps its q within 8 eps of this q.
+        # Other rows, invalid ones among them, are built as studies: the
+        # first invalid one raises.
+        unit = np.ldexp(1.0, np.frexp(sds.max(axis=1))[1] - 1)
+        s1, s2, s3 = (sds / unit[:, None]).T
+        s0 = np.hypot(np.hypot(s1, 2.0 * s2), s3)
+        gap = np.minimum(np.abs(2.0 * s2 - (s1 + s3)), np.abs(2.0 * s2 - np.hypot(s1, s3)))
+        q = np.minimum(gap, s0) / s0
+        x1, x2, x3 = means.T
+        slack = _SLACK * (np.abs(x1) + 2.0 * np.abs(x2) + np.abs(x3)) + _SLACK_FLOOR
+        contrast = np.abs(x1 - 2.0 * x2 + x3)
+        decided = (np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)).all(axis=1) & (q > 0.0)
+        r_low = root_n * (np.maximum(contrast - slack, 0.0) / unit) / s0
+        r_high = root_n * ((contrast + slack) / unit) / s0
+        high = _log_values(r_high, q + 4.0 * _SLACK)
+        low = _log_values(r_low, q - 4.0 * _SLACK)
+        counted = decided & (high >= log_v + _LOG_TOL)
+        band = ~(counted | decided & (low < log_v - _LOG_TOL))
+    count = int(np.count_nonzero(counted))
+    rows = np.flatnonzero(band)
+    for row_means, row_sds in zip(means[rows].tolist(), sds[rows].tolist()):
+        study = StudySummary(id="sim", n=n_float, means=tuple(row_means), sds=tuple(row_sds))
+        if evidential_value(study, Mode.PAPER).lower >= v_threshold:
+            count += 1
+    return count
+
+
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     """Estimate P(V >= v) under data integrity by Monte Carlo.
 
@@ -310,43 +368,21 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     np = _numpy()
     mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]
-    n_float, log_v = float(params.n), math.log(v_threshold)
-    root_n = math.sqrt(n_float)
     block_reps = max(1, min(_BLOCK, _BLOCK_DRAWS // (4 * params.n)))
     draws = np.empty((block_reps, 4, params.n))
-    count = 0
+    # the summaries of one seeding chunk, decided together
+    means, sds = np.empty((2, _CHUNK_BLOCKS * block_reps, 3))
+    count = filled = 0
     for block in _normal_blocks(draws, seed, 0, reps):
+        stop = filled + len(block)
         with np.errstate(all="ignore"):
             data = mu + scale * block[:, 1:]
-            means = data.mean(axis=2)
-            sds = data.std(axis=2, ddof=1)
-            # Both sides work in the same power-of-two unit.  The decimal z
-            # is within 2**-1073 + eps/2 of the exact sum of the means, the
-            # float contrast within 1.5*eps*(|x1| + 2|x2| + |x3|) of it, so
-            # the engine's r lies between r_low and r_high up to the few eps
-            # of its own s0, and its own hypot keeps its q within 8 eps of
-            # this q.  Other rows, invalid ones among them, are built as
-            # studies: the first invalid one raises.
-            unit = np.ldexp(1.0, np.frexp(sds.max(axis=1))[1] - 1)
-            s1, s2, s3 = (sds / unit[:, None]).T
-            s0 = np.hypot(np.hypot(s1, 2.0 * s2), s3)
-            gap = np.minimum(np.abs(2.0 * s2 - (s1 + s3)), np.abs(2.0 * s2 - np.hypot(s1, s3)))
-            q = np.minimum(gap, s0) / s0
-            x1, x2, x3 = means.T
-            slack = _SLACK * (np.abs(x1) + 2.0 * np.abs(x2) + np.abs(x3)) + _SLACK_FLOOR
-            contrast = np.abs(x1 - 2.0 * x2 + x3)
-            decided = (np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)).all(axis=1) & (q > 0.0)
-            r_low = root_n * (np.maximum(contrast - slack, 0.0) / unit) / s0
-            r_high = root_n * ((contrast + slack) / unit) / s0
-            high = _log_values(r_high, q + 4.0 * _SLACK)
-            low = _log_values(r_low, q - 4.0 * _SLACK)
-            counted = decided & (high >= log_v + _LOG_TOL)
-            band = ~(counted | decided & (low < log_v - _LOG_TOL))
-        count += int(np.count_nonzero(counted))
-        rows = np.flatnonzero(band)
-        for row_means, row_sds in zip(means[rows].tolist(), sds[rows].tolist()):
-            study = StudySummary(id="sim", n=n_float, means=tuple(row_means), sds=tuple(row_sds))
-            if evidential_value(study, Mode.PAPER).lower >= v_threshold:
-                count += 1
+        _summaries(data, params.n, means[filled:stop], sds[filled:stop])
+        filled = stop
+        if filled == len(means):
+            count += _count_exceeding(means, sds, params.n, v_threshold)
+            filled = 0
+    if filled:
+        count += _count_exceeding(means[:filled], sds[:filled], params.n, v_threshold)
     p = count / reps
     return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

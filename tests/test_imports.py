@@ -4,15 +4,19 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import evidential
 
 SRC = os.path.dirname(evidential.__path__[0])
 
 
-def _run(code, *args):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _run(code, *args, env=None):
+    # *env* adds variables; OPENBLAS_NUM_THREADS is set only through it
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env or {}, PYTHONPATH=SRC)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=environ, capture_output=True, text=True, timeout=60
     )
 
 
@@ -72,3 +76,42 @@ def test_benchmark_tracer_finds_its_targets():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] True"
+
+
+SIMULATE = "['simulate', '--n', '20', '--sigma', '1,1,1', '--reps', '1000']"
+
+
+def test_simulate_without_numpy_is_an_error_not_a_traceback():
+    proc = _run(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from evidential.cli import main\n"
+        f"sys.exit(main({SIMULATE}))"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: simulate needs numpy: "), proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts threads in /proc/self/task; OpenBLAS starts no pool on one CPU",
+)
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_simulate_starts_no_blas_pool_and_restores_the_environment(threads):
+    # simulate multiplies no matrices: the command loads numpy with one
+    # OpenBLAS thread unless the caller chose a count, which it keeps
+    env = {"OPENBLAS_NUM_THREADS": threads} if threads else {}
+    proc = _run(
+        "import os, sys\n"
+        "from evidential.cli import main\n"
+        "loaded = 'numpy' in sys.modules\n"
+        f"main({SIMULATE})\n"
+        "print(loaded, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))",
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, tasks, value = proc.stdout.splitlines()[-1].split()
+    assert loaded == "False" and value == str(threads)
+    if threads is None:
+        assert tasks == "1"

@@ -365,15 +365,35 @@ def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
     p = ModelParams(mu=(0, 0, 0), sigma=(1.5, 0.7, 2.0), n=20)
     lowers = [
         evidential_value(simulate_study(p, seed=(5, rep)), Mode.PAPER).lower
-        for rep in range(1000)
+        for rep in range(4097)
     ]
     calls = count_engine_calls(monkeypatch)
     monkeypatch.setattr(simulate, "_LOG_TOL", math.inf)
-    for v in (1.5, 2.0, 10.0):
-        calls.clear()
-        report = null_exceedance(n=20, sigma=p.sigma, v_threshold=v, reps=1000, seed=5)
-        assert len(calls) == 1000
-        assert report.exceed_prob == sum(lower >= v for lower in lowers) / 1000, v
+    # 4097 replications are a full chunk of 16 blocks and a chunk of one
+    for reps in (1000, 4097):
+        for v in (1.5, 2.0, 10.0):
+            calls.clear()
+            report = null_exceedance(n=20, sigma=p.sigma, v_threshold=v, reps=reps, seed=5)
+            assert len(calls) == reps
+            expected = sum(lower >= v for lower in lowers[:reps]) / reps
+            assert report.exceed_prob == expected, (reps, v)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 101, 1100])
+def test_block_summaries_are_numpys_mean_and_std_bit_for_bit(n):
+    # one mean serves both summaries; the last sigma makes some sds overflow
+    from evidential import simulate
+
+    normals = np.random.default_rng(n).standard_normal((64, 3, n))
+    for sigma in ((1, 1, 1), (1.5, 0.7, 2), (1e-150,) * 3, (1e150, 1, 1), (1e154, 1, 1)):
+        with np.errstate(all="ignore"):
+            data = np.asarray(sigma, dtype=float)[:, None] * normals
+            means, sds = np.empty((2, len(data), 3))
+            expected_means, expected_sds = data.mean(axis=2), data.std(axis=2, ddof=1)
+        simulate._summaries(data, n, means, sds)
+        assert np.array_equal(means.view(np.uint64), expected_means.view(np.uint64)), sigma
+        assert np.array_equal(sds.view(np.uint64), expected_sds.view(np.uint64)), sigma
+    assert np.isinf(sds[:, 0]).any()
 
 
 @pytest.mark.parametrize(

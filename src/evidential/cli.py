@@ -44,17 +44,16 @@ def _fmt_bound(x: float) -> str:
     return _round2(x)
 
 
-def render_value(ev: engine.EvidentialValue) -> str:
-    """Render V as the tables do: one number, or 'lower–upper' with '∞'.
+def _interval(lower: float, upper: float) -> str:
+    # ends that agree at the rendered precision collapse to a single number,
+    # matching how published tables print such rows
+    lo, hi = _fmt_bound(lower), _fmt_bound(upper)
+    return lo if lo == hi else f"{lo}–{hi}"
 
-    An interval whose ends agree at the rendered precision collapses to a
-    single number, matching how published tables print such rows.
-    """
-    lo = _fmt_bound(ev.lower)
-    hi = _fmt_bound(ev.upper)
-    if ev.is_point or lo == hi:
-        return lo
-    return f"{lo}–{hi}"
+
+def render_value(ev: engine.EvidentialValue) -> str:
+    """Render V as the tables do: one number, or 'lower–upper' with '∞'."""
+    return _interval(ev.lower, ev.upper)
 
 
 class ReportRow(namedtuple("ReportRow", "study value v_rendered z_v z_c notes")):
@@ -109,12 +108,8 @@ def _render_table(rows, combined, tail_v, tail_fraction, out):
     for b in body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(b, widths)).rstrip())
     lines.append("")
-    prod = f"{_fmt_bound(combined.product_lower)}"
-    if combined.product_upper != combined.product_lower:
-        prod += f"–{_fmt_bound(combined.product_upper)}"
-    post = f"{_fmt_bound(combined.posterior_odds_lower)}"
-    if combined.posterior_odds_upper != combined.posterior_odds_lower:
-        post += f"–{_fmt_bound(combined.posterior_odds_upper)}"
+    prod = _interval(combined.product_lower, combined.product_upper)
+    post = _interval(combined.posterior_odds_lower, combined.posterior_odds_upper)
     lines.append(f"product V: {prod}")
     lines.append(f"posterior odds (prior {combined.prior_odds:g}): {post}")
     count = sum(1 for r in rows if r.value.lower >= tail_v)
@@ -189,9 +184,7 @@ def cmd_compute(args, out=None, err=None) -> int:
         return EXIT_INPUT
     try:
         rows = build_rows(led, args.mode)
-        combined = engine.combine(
-            [(r.study.id, r.value) for r in rows], prior_odds=args.prior_odds
-        )
+        combined = engine.combine([r.value for r in rows], prior_odds=args.prior_odds)
         tail_v = 2.0
         tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
     except (ValueError, ArithmeticError) as exc:

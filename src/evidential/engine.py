@@ -207,42 +207,32 @@ def empirical_tail_fraction(values: Sequence[EvidentialValue], v: float) -> floa
 class CombinedEvidence(
     namedtuple(
         "CombinedEvidence",
-        "per_study product_lower product_upper prior_odds"
-        " posterior_odds_lower posterior_odds_upper",
+        "product_lower product_upper prior_odds posterior_odds_lower posterior_odds_upper",
     )
 ):
-    """Product of per-study ``(id, EvidentialValue)`` pairs and the resulting odds."""
+    """Product of per-study evidential values and the resulting odds."""
 
     __slots__ = ()
 
 
-def combine(values, prior_odds: float = 1.0) -> CombinedEvidence:
+def combine(values: Sequence[EvidentialValue], prior_odds: float = 1.0) -> CombinedEvidence:
     """Multiply evidential values of independent studies into overall odds.
 
-    *values* may contain ``EvidentialValue`` items or ``(id, value)``
-    pairs.  Interval-valued entries are combined by interval arithmetic;
-    an unbounded upper end is absorbing.  Posterior odds are
+    Interval-valued entries are combined by interval arithmetic; an
+    unbounded upper end is absorbing.  Posterior odds are
     ``prior_odds * product`` on both ends.
     """
     if not values:
         raise ValueError("no studies")
     if not prior_odds > 0:
         raise ValueError("prior_odds must be positive")
-    labeled = []
-    for k, item in enumerate(values):
-        if isinstance(item, EvidentialValue):
-            labeled.append((str(k + 1), item))
-        else:
-            name, ev = item
-            labeled.append((str(name), ev))
     ends = []
-    for factors in ([ev.lower for _, ev in labeled], [ev.upper for _, ev in labeled]):
+    for factors in ([ev.lower for ev in values], [ev.upper for ev in values]):
         product = math.prod(factors)
         if math.isinf(prior_odds * product) and all(map(math.isfinite, factors)):
             raise OverflowError("the product of the values exceeds the float range")
         ends.append(product)
     return CombinedEvidence(
-        per_study=tuple(labeled),
         product_lower=ends[0],
         product_upper=ends[1],
         prior_odds=prior_odds,

@@ -134,6 +134,18 @@ def _number(cell, quotient: bool):
     return None
 
 
+def _id(cell):
+    """A cell as a study id: non-empty text, or a JSON number's text; else None."""
+    if type(cell) in (str, int, float):  # not a bool, null, list or object
+        return str(cell) or None
+    return None
+
+
+def _spelled(cell) -> str:
+    # a cell as its input spells it: text as it is, any other JSON value as JSON
+    return cell if type(cell) is str else json.dumps(cell)
+
+
 def _csv_rows(text: str, source: str):
     """The data lines under the mandatory header, as ``(where, row, cells)``."""
     rows = []
@@ -167,7 +179,7 @@ def _json_cells(where: str, entry):
     means, sds = entry["means"], entry["sds"]
     if not (isinstance(means, list) and isinstance(sds, list) and len(means) == len(sds) == 3):
         return LedgerError(f"{where}: means and sds must be lists of three numbers")
-    return [str(entry["id"]), entry["n"], *means, *sds]
+    return [entry["id"], entry["n"], *means, *sds]
 
 
 def _json_rows(text: str, source: str):
@@ -225,22 +237,23 @@ def parse_ledger_lenient(text: str, source: str = "<string>"):
                 )
             )
             continue
-        study_id = cells[0]
-        values = [_number(cell, name == "n") for name, cell in zip(COLUMNS[1:], cells[1:])]
+        values = [_id(cells[0])]
+        values += [_number(cell, name == "n") for name, cell in zip(COLUMNS[1:], cells[1:])]
+        study_id = values[0]
         if None in values:
             errors += [
                 LedgerError(
-                    f"{where}, column {name}: could not parse '{cell}'",
+                    f"{where}, column {name}: could not parse '{_spelled(cell)}'",
                     row=row,
                     column=name,
                     study_id=study_id,
                 )
-                for name, cell, value in zip(COLUMNS[1:], cells[1:], values)
+                for name, cell, value in zip(COLUMNS, cells, values)
                 if value is None
             ]
             continue
         try:
-            study = StudySummary(study_id, values[0], tuple(values[1:4]), tuple(values[4:]))
+            study = StudySummary(study_id, values[1], tuple(values[2:5]), tuple(values[5:]))
         except LedgerError as exc:
             exc.row = row
             errors.append(exc)

@@ -10,14 +10,15 @@ commands that never simulate, need the stdlib only.  Nothing here
 multiplies matrices: the ``simulate`` command loads numpy with one
 OpenBLAS thread unless its caller set ``OPENBLAS_NUM_THREADS``.
 
-:func:`null_exceedance` evaluates replications in blocks: one draw call
-per replication into a shared buffer, after writing the PCG64 state words
-that :func:`_pcg64_states` computes on uint64 limbs, 16 blocks at a time,
-into the generator's memory (through its state dict where a probe of that
-memory fails, see :func:`_normal_blocks`); then the means and sds of the
-whole block in one pass that forms each mean once (:func:`_summaries`, the
-same floats as :func:`simulate_study`'s ``mean`` and ``std``).  Each chunk
-of 16 blocks is then decided at once in numpy by the engine's own formula,
+:func:`null_exceedance` runs one loop per chunk of 16 blocks of
+replications.  It computes the chunk's PCG64 state words on uint64 limbs
+in one call (:func:`_pcg64_states`).  Then, block by block, each
+replication writes its words into the generator's memory (through its
+state dict where a probe of that memory fails, see :func:`_state_setter`)
+and draws into a shared buffer, and one pass that forms each mean once
+gives the means and sds of the whole block (:func:`_summaries`, the same
+floats as :func:`simulate_study`'s ``mean`` and ``std``).  The chunk is
+then decided at once in numpy by the engine's own formula,
 :func:`~evidential.engine.log_value`.  log V is non-increasing in
 ``r = |Z_V|`` and in the floor ratio ``q``, and the engine's r and q lie
 between those of the float contrast lowered and raised by a bound on its
@@ -258,29 +259,18 @@ def _state_view(bits):
     return view if view.tolist() == [1, 2, 3, 5] else None
 
 
+def _state_setter(bits):
+    """Set PCG64 *bits* to a row of :func:`_pcg64_states`: straight into its
+    memory where :func:`_state_view` finds it, else through the dict."""
+    view = _state_view(bits)
+    return partial(_set_state, bits) if view is None else partial(view.__setitem__, ...)
+
+
 def _standard_normals(out, words, set_state, normal):
     """Fill ``out[i]`` by *normal* after ``set_state(words[i])``."""
     for row, state in zip(out, words):
         set_state(state)
         normal(out=row)
-
-
-def _normal_blocks(draws, seed, first, end):
-    """Yield ``draws[:m]`` filled with the first standard normals of
-    ``default_rng((seed, k))``, for successive blocks of the k from *first*
-    to *end*, seeded _CHUNK_BLOCKS blocks at a time.
-    """
-    np = _numpy()
-    bits = np.random.PCG64()
-    normal, view = np.random.Generator(bits).standard_normal, _state_view(bits)
-    set_state = partial(_set_state, bits) if view is None else partial(view.__setitem__, ...)
-    for chunk in range(first, end, _CHUNK_BLOCKS * len(draws)):
-        stop = min(end, chunk + _CHUNK_BLOCKS * len(draws))
-        words = _pcg64_states(seed, chunk, stop - chunk)
-        for start in range(chunk, stop, len(draws)):
-            out = draws[: stop - start]
-            _standard_normals(out, words[start - chunk :], set_state, normal)
-            yield out
 
 
 def _log_values(r, q):
@@ -366,23 +356,23 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
         raise ParameterError("n >= 2 required for sample sd")
     seed = _whole(seed, 0, "seed must be a non-negative integer")
     np = _numpy()
-    mu = np.asarray(params.mu)[:, None]
     scale = np.asarray(params.sigma)[:, None]
     block_reps = max(1, min(_BLOCK, _BLOCK_DRAWS // (4 * params.n)))
     draws = np.empty((block_reps, 4, params.n))
     # the summaries of one seeding chunk, decided together
     means, sds = np.empty((2, _CHUNK_BLOCKS * block_reps, 3))
-    count = filled = 0
-    for block in _normal_blocks(draws, seed, 0, reps):
-        stop = filled + len(block)
-        with np.errstate(all="ignore"):
-            data = mu + scale * block[:, 1:]
-        _summaries(data, params.n, means[filled:stop], sds[filled:stop])
-        filled = stop
-        if filled == len(means):
-            count += _count_exceeding(means, sds, params.n, v_threshold)
-            filled = 0
-    if filled:
-        count += _count_exceeding(means[:filled], sds[:filled], params.n, v_threshold)
+    bits = np.random.PCG64()
+    set_state, normal = _state_setter(bits), np.random.Generator(bits).standard_normal
+    count = 0
+    for chunk in range(0, reps, len(means)):
+        words = _pcg64_states(seed, chunk, min(len(means), reps - chunk))
+        for start in range(0, len(words), block_reps):
+            block = draws[: len(words) - start]
+            stop = start + len(block)
+            _standard_normals(block, words[start:], set_state, normal)
+            with np.errstate(all="ignore"):
+                data = scale * block[:, 1:]
+            _summaries(data, params.n, means[start:stop], sds[start:stop])
+        count += _count_exceeding(means[: len(words)], sds[: len(words)], params.n, v_threshold)
     p = count / reps
     return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

@@ -130,6 +130,20 @@ def test_compute_footer_reports_products_and_tail(reference_csv):
     assert "not an integer" in out
 
 
+def test_compute_footer_collapses_like_the_rows(tmp_path):
+    # a below-regime interval whose ends agree at 2 decimals prints one
+    # number in its row, and so do the product and the posterior odds
+    path = tmp_path / "one.csv"
+    path.write_bytes(HEADER_LINE + b"a,15,4.5,3.8,3.05,0.96,0.5,0.71\n")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert code == 0 and err == ""
+    ev = evidential_value(StudySummary("a", 15, (4.5, 3.8, 3.05), (0.96, 0.5, 0.71)))
+    assert ev.lower < ev.upper
+    lines = out.splitlines()
+    assert lines[1].split()[4] == "4.92"
+    assert "product V: 4.92" in lines and "posterior odds (prior 1): 4.92" in lines
+
+
 def test_compute_table_prints_huge_statistics_in_scientific_notation(tmp_path):
     # Z_V and Z_C are 7.3e300 here: fixed point would print 300 digits each
     path = tmp_path / "huge.csv"

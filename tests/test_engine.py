@@ -244,9 +244,8 @@ def test_combine_refuses_a_product_beyond_the_float_range():
     assert combine([iv, _point(2.0)]).product_upper == INF
 
 
-def test_combine_keeps_labels():
-    combined = combine([("a", _point(2.0)), ("b", _point(3.0))])
-    assert [name for name, _ in combined.per_study] == ["a", "b"]
+def test_combine_multiplies_bare_values():
+    combined = combine([_point(2.0), _point(3.0)])
     assert combined.product_lower == pytest.approx(6.0)
 
 

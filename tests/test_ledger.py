@@ -106,10 +106,11 @@ def test_parse_errors_name_row_and_column():
 
 
 def test_json_refuses_what_is_not_a_number_or_a_row():
-    # bools and nulls are not numbers
+    # bools and nulls are not numbers, and are quoted as JSON spells them
     for column, cell in (("n", True), ("s3", False), ("x2", None)):
         text = render("json", [GOOD, ALSO_GOOD], [(1, column, cell)])
-        with pytest.raises(LedgerError, match=re.escape(f"studies[1], column {column}")):
+        message = f"studies[1], column {column}: could not parse '{json.dumps(cell)}'"
+        with pytest.raises(LedgerError, match=re.escape(message)):
             parse_ledger(text)
     # a string is not a list of means, and every key is required
     doc = ledger_to_mapping(StudyLedger((GOOD, ALSO_GOOD)))
@@ -125,6 +126,26 @@ def test_json_refuses_what_is_not_a_number_or_a_row():
     doc["studies"][1] = [1, 2, 3]
     with pytest.raises(LedgerError, match=re.escape("studies[1]: expected an object")):
         parse_ledger(json.dumps(doc))
+
+
+def test_ids_are_non_empty_text_or_json_numbers():
+    # an empty id, or a JSON id that is neither a string nor a number, is
+    # refused rather than turned into text like 'None' or "{'a': 1}"
+    for fmt, where in FORMATS:
+        bad_ids = ("", None, True, [1], {"a": 1}) if fmt.startswith("json") else ("",)
+        for cell in bad_ids:
+            text = render(fmt, [GOOD, ALSO_GOOD], [(1, "id", cell)])
+            led, errors = parse_ledger_lenient(text)
+            assert [s.id for s in led] == ["good"], (fmt, cell)
+            spelled = "" if cell == "" else json.dumps(cell)
+            assert [str(e) for e in errors] == [
+                f"{where(1)}, column id: could not parse '{spelled}'"
+            ], (fmt, cell)
+            assert (errors[0].column, errors[0].study_id) == ("id", None)
+        # a number keeps its text as an id
+        if fmt.startswith("json"):
+            led = parse_ledger(render(fmt, [GOOD, ALSO_GOOD], [(0, "id", 7), (1, "id", 7.5)]))
+            assert [s.id for s in led] == ["7", "7.5"]
 
 
 def test_parse_rejects_duplicate_ids():

@@ -294,9 +294,12 @@ def test_block_seeding_draws_the_default_rng_streams(monkeypatch):
                 with monkeypatch.context() as patch:
                     if not direct:
                         patch.setattr(simulate, "_state_view", lambda bits: None)
-                    blocks = simulate._normal_blocks(out, seed, first, first + len(out))
-                    drawn = np.concatenate([block.copy() for block in blocks])
-                assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64)), (
+                    bits = np.random.PCG64()
+                    set_state = simulate._state_setter(bits)
+                normal = np.random.Generator(bits).standard_normal
+                out[...] = np.nan
+                simulate._standard_normals(out, words, set_state, normal)
+                assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), (
                     seed, first, direct
                 )
 

@@ -135,9 +135,10 @@ def _number(cell, quotient: bool):
 
 
 def _id(cell):
-    """A cell as a study id: non-empty text, or a JSON number's text; else None."""
+    """A cell as a study id: text stripped like a CSV cell, if that leaves
+    any, or a JSON number's text; else None."""
     if type(cell) in (str, int, float):  # not a bool, null, list or object
-        return str(cell) or None
+        return str(cell).strip() or None
     return None
 
 

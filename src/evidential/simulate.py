@@ -29,13 +29,30 @@ above the float error.  Only the thin band between the two, invalid rows
 and rows with a zero paper floor are decided by
 :func:`~evidential.engine.evidential_value`, so the estimate is the
 per-replication loop's, bit for bit.
+
+The chunks are split into contiguous runs of whole chunks, as equal in
+replications as whole chunks allow, one per CPU this process may run on
+but each of at least ``_PROCESS_CHUNKS`` whole chunks.  The first run is
+counted here; each other run in a child forked after numpy, the generator
+and the buffers exist, which writes its count to a pipe and leaves by
+``os._exit``.  The estimate is a sum of per-replication integer decisions,
+each drawn from its own stream, so it is the same however the runs are
+split.  A run whose child fails or writes nothing is counted here again,
+which raises the error a serial run raises; an error here kills and reaps
+the children before it propagates.  Everything runs in this one process
+where ``os.fork`` is missing, where this process runs more than one OS
+thread (per ``/proc/self/task``; the ``simulate`` command's single
+OpenBLAS thread keeps it at one), or where there are too few chunks.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from functools import partial
 
 from .engine import Mode, evidential_value
@@ -160,6 +177,13 @@ _LOG_TOL = 1e-9
 #: |float contrast - decimal contrast| is below _SLACK * (|x1| + 2|x2| + |x3|)
 #: + _SLACK_FLOOR, and the engine's q is within 4 * _SLACK of numpy's
 _SLACK, _SLACK_FLOOR = 4.0 * sys.float_info.epsilon, 2.0**-1070
+
+#: fewest whole seeding chunks worth a process of their own.  A fork and
+#: its reaping take about 2 ms.  On a 2-CPU VM at n = 20, 8 chunks took
+#: 80-91 ms in two processes against 135-158 ms in one; at 1 or 2 chunks
+#: per process the split lost whenever the scheduler kept the child on its
+#: parent's CPU (2 chunks: 46 ms against 36 ms)
+_PROCESS_CHUNKS = 4
 
 #: numpy's SeedSequence hash constants and PCG64's multiplier (low and high
 #: words), fixed by its documented seeding (NEP 19 keeps seeded streams stable)
@@ -337,6 +361,93 @@ def _count_exceeding(means, sds, n, v_threshold):
     return count
 
 
+def _processes(chunks):
+    """How many processes share *chunks* whole seeding chunks: one per CPU
+    this process may run on, each with at least _PROCESS_CHUNKS of them.
+    One where a fork is unsafe or unknown to be safe: without os.fork, or
+    while this process runs more than one OS thread (another thread's
+    locks would stay held in a child)."""
+    try:
+        if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) != 1:
+            return 1
+        cpus = len(os.sched_getaffinity(0))
+    except OSError:
+        return 1
+    return max(1, min(cpus, chunks // _PROCESS_CHUNKS))
+
+
+def _runs(reps, chunk, processes):
+    """range(reps) as contiguous runs ``(start, stop)`` of whole chunks of
+    *chunk* replications (the last may be partial), one per process but at
+    most one per chunk, as equal in replications as whole chunks allow."""
+    chunks = -(-reps // chunk)
+    processes = min(processes, chunks)
+    bounds = [0]
+    for i in range(1, processes):
+        nearest = round(reps * i / (processes * chunk))
+        bounds.append(max(bounds[-1] + 1, min(nearest, chunks - processes + i)))
+    starts = [b * chunk for b in bounds]
+    return list(zip(starts, starts[1:] + [reps]))
+
+
+def _forked_sum(work, runs):
+    """``sum(work(start, stop) for start, stop in runs)``: every run after
+    the first in a forked child that writes its count to a pipe, the first
+    here.  A run whose child could not be forked, exits non-zero or writes
+    nothing is worked here, in order, so an error is the one a serial run
+    raises.  Every child has exited and been reaped when this returns or
+    raises: an error here kills the children still running first.
+    """
+    if len(runs) == 1:
+        return work(*runs[0])
+    import signal  # here, so that loading the command line never loads it
+
+    children = []  # (pid, read end of its pipe, run), pid None if not forked
+    # a collection in a child then leaves the pages of the parent's objects
+    # shared instead of copying them
+    gc.freeze()
+    try:
+        # a Ctrl-C waits until each new child is on the list, to be killed
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for run in runs[1:]:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    pid = None
+                if pid == 0:
+                    status = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        os.write(write, b"%d" % work(*run))
+                        status = 0
+                    finally:
+                        # out without the parent's cleanup, buffers or handlers
+                        os._exit(status)
+                children.append((pid, read, run))
+                os.close(write)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        total = work(*runs[0])
+        while children:
+            pid, read, run = children[0]
+            sent = os.read(read, 64)
+            status = 1 if pid is None else os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read)
+            total += int(sent) if status == 0 and sent else work(*run)
+        return total
+    finally:
+        gc.unfreeze()
+        for pid, read, _ in children:
+            with suppress(ProcessLookupError, ChildProcessError):
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            os.close(read)
+
+
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     """Estimate P(V >= v) under data integrity by Monte Carlo.
 
@@ -363,16 +474,22 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     means, sds = np.empty((2, _CHUNK_BLOCKS * block_reps, 3))
     bits = np.random.PCG64()
     set_state, normal = _state_setter(bits), np.random.Generator(bits).standard_normal
-    count = 0
-    for chunk in range(0, reps, len(means)):
-        words = _pcg64_states(seed, chunk, min(len(means), reps - chunk))
-        for start in range(0, len(words), block_reps):
-            block = draws[: len(words) - start]
-            stop = start + len(block)
-            _standard_normals(block, words[start:], set_state, normal)
-            with np.errstate(all="ignore"):
-                data = scale * block[:, 1:]
-            _summaries(data, params.n, means[start:stop], sds[start:stop])
-        count += _count_exceeding(means[: len(words)], sds[: len(words)], params.n, v_threshold)
+
+    def count_run(start, stop):
+        # how many of the replications start..stop-1 count, chunk by chunk
+        total = 0
+        for chunk in range(start, stop, len(means)):
+            words = _pcg64_states(seed, chunk, min(len(means), stop - chunk))
+            for first in range(0, len(words), block_reps):
+                block = draws[: len(words) - first]
+                last = first + len(block)
+                _standard_normals(block, words[first:], set_state, normal)
+                with np.errstate(all="ignore"):
+                    data = scale * block[:, 1:]
+                _summaries(data, params.n, means[first:last], sds[first:last])
+            total += _count_exceeding(means[: len(words)], sds[: len(words)], params.n, v_threshold)
+        return total
+
+    count = _forked_sum(count_run, _runs(reps, len(means), _processes(reps // len(means))))
     p = count / reps
     return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

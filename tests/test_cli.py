@@ -1,11 +1,17 @@
 import io
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import evidential
 from evidential.cli import build_parser, main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
 from evidential.ledger import StudyLedger, StudySummary
@@ -454,6 +460,82 @@ def test_simulate_command_refuses_a_non_finite_v():
         code, out, err = run(["simulate", "--n", "20", "--sigma", "1,1,1", "--v", v,
                               "--reps", "1000", "--seed", "1"])
         assert (code, out, err) == (2, "", "error: v must exceed 1 and be finite\n"), v
+
+
+def test_simulate_command_split_across_processes_reports_the_serial_error(monkeypatch):
+    from evidential import simulate
+
+    monkeypatch.setattr(simulate, "_processes", lambda chunks: 2)
+    code, out, err = run(["simulate", "--n", "20", "--sigma", "1e300,1,1",
+                          "--reps", "12289", "--seed", "1"])
+    assert (code, out, err) == (2, "", "error: study 'sim': sds must be finite\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SEED_42 = ["simulate", "--n", "20", "--sigma", "1,1,1", "--v", "2", "--reps", "100000",
+           "--seed", "42"]
+
+
+def cold(argv, **kwargs):
+    # a fresh `python -m evidential.cli`, its OpenBLAS thread count its own
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(evidential.__path__[0])
+    return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_cold_simulate_prints_the_readme_lines():
+    # the command's own process rule, forking where it may
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    at = lines.index("evidential " + " ".join(SEED_42))
+    expected = [line.removeprefix("# -> ") for line in lines[at + 1 : at + 3]]
+    assert expected[1].startswith("P(V >= 2) = 0.2473 "), expected
+    out, err = cold(SEED_42).communicate(timeout=120)
+    assert (out.splitlines(), err) == (expected, "")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="reads a process's children in /proc; forks only with 2+ CPUs",
+)
+@pytest.mark.parametrize("target", ["caller", "group"])
+def test_ctrl_c_leaves_no_simulate_process(target):
+    # SIGINT to the caller alone, or to its whole group as a terminal sends
+    # it, as soon as a child exists (even before fork returns in the
+    # caller): no child may outlive the command, and none may finish its
+    # run (seconds of work) before the command ends
+    proc = cold(["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "10000000"],
+                start_new_session=True)
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                with open(children) as listing:
+                    if listing.read().split():
+                        break
+            except FileNotFoundError:
+                if proc.poll() is None:
+                    pytest.skip("this kernel lists no children in /proc")
+            assert proc.poll() is None and time.monotonic() < deadline, "never forked"
+        if target == "caller":
+            os.kill(proc.pid, signal.SIGINT)
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        try:  # the group outlives the command only through a leftover child
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+    assert "KeyboardInterrupt" in err, err
+    assert not left
 
 
 # --- entry point -------------------------------------------------------------------

@@ -57,6 +57,13 @@ def test_cli_import_loads_no_ctypes():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_signal():
+    # simulate imports signal only where it forks, to kill its children
+    proc = _run("import sys, evidential.cli\nprint('signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_benchmark_tracer_finds_its_targets():
     # perfbench/tracer.py looks its functions up by name after the command
     # line is imported, and reads evidential.simulate from sys.modules: a

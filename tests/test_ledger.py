@@ -148,6 +148,21 @@ def test_ids_are_non_empty_text_or_json_numbers():
             assert [s.id for s in led] == ["7", "7.5"]
 
 
+def test_text_ids_are_stripped_in_both_formats():
+    # CSV strips every cell; a JSON id is stripped the same way, so blank
+    # ids are refused and padded ones read alike in both formats
+    for fmt, where in FORMATS:
+        text = render(fmt, [GOOD, ALSO_GOOD], [(1, "id", " ")])
+        led, errors = parse_ledger_lenient(text)
+        assert [s.id for s in led] == ["good"], fmt
+        spelled = " " if fmt.startswith("json") else ""
+        assert [str(e) for e in errors] == [
+            f"{where(1)}, column id: could not parse '{spelled}'"
+        ], fmt
+        led = parse_ledger(render(fmt, [GOOD, ALSO_GOOD], [(0, "id", " S1 ")]))
+        assert [s.id for s in led] == ["S1", "also-good"], fmt
+
+
 def test_parse_rejects_duplicate_ids():
     text = HEADER + "\na,20,1,2,3,1,1,1\na,20,1,2,3,1,1,1\n"
     with pytest.raises(LedgerError, match="duplicate study id 'a'"):

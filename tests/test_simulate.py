@@ -1,4 +1,6 @@
+import gc
 import math
+import os
 import platform
 import sys
 import warnings
@@ -354,6 +356,8 @@ def test_null_exceedance_decides_almost_every_replication_in_numpy(monkeypatch, 
     # a tripwire: the numpy decision leaves only a thin band to the engine
     from evidential import simulate
 
+    # one process, so that every engine call is made where it is counted
+    monkeypatch.setattr(simulate, "_processes", lambda chunks: 1)
     calls = count_engine_calls(monkeypatch)
     reps = 4 * simulate._BLOCK + 1
     null_exceedance(n=n, sigma=sigma, v_threshold=2.0, reps=reps, seed=42)
@@ -370,6 +374,8 @@ def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
         evidential_value(simulate_study(p, seed=(5, rep)), Mode.PAPER).lower
         for rep in range(4097)
     ]
+    # one process, so that every engine call is made where it is counted
+    monkeypatch.setattr(simulate, "_processes", lambda chunks: 1)
     calls = count_engine_calls(monkeypatch)
     monkeypatch.setattr(simulate, "_LOG_TOL", math.inf)
     # 4097 replications are a full chunk of 16 blocks and a chunk of one
@@ -380,6 +386,103 @@ def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
             assert len(calls) == reps
             expected = sum(lower >= v for lower in lowers[:reps]) / reps
             assert report.exceed_prob == expected, (reps, v)
+
+
+# --- replications split across processes -------------------------------------
+
+def processes(monkeypatch, count):
+    # forces the number of processes, whatever the threads and CPUs
+    from evidential import simulate
+
+    monkeypatch.setattr(simulate, "_processes", lambda chunks: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runs_are_contiguous_whole_chunks_balanced_by_replications():
+    from evidential import simulate
+
+    assert simulate._runs(100_000, 4096, 2) == [(0, 49152), (49152, 100_000)]
+    assert simulate._runs(12289, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 12289)]
+    # never more runs than chunks, and never an empty one
+    assert simulate._runs(4097, 4096, 3) == [(0, 4096), (4096, 4097)]
+    assert simulate._runs(8193, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 8193)]
+    assert simulate._runs(1000, 4096, 2) == [(0, 1000)]
+    for reps in (1000, 4096, 4097, 12289, 100_000):
+        for count in range(1, 8):
+            runs = simulate._runs(reps, 3808, count)
+            assert runs[0][0] == 0 and runs[-1][1] == reps
+            assert all(start % 3808 == 0 and start < stop for start, stop in runs)
+            assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_runs_give_the_one_process_report(monkeypatch):
+    # at n = 1100 a block holds 238 replications and a chunk 3808: 4097
+    # ends 289 replications into the second chunk, 7617 one into the third
+    settings = [(20, seed, reps) for seed in (42, 2**32 - 1, 2**32) for reps in (4097, 12289)]
+    settings += [(1100, 42, reps) for reps in (4097, 7617)]
+    for n, seed, reps in settings:
+        args = dict(n=n, sigma=(1.5, 0.7, 2.0), v_threshold=2.0, reps=reps, seed=seed)
+        processes(monkeypatch, 1)
+        expected = null_exceedance(**args)
+        for count in (2, 3):
+            processes(monkeypatch, count)
+            assert null_exceedance(**args) == expected, (n, seed, reps, count)
+            assert_no_child_left()
+            assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_an_error_in_the_first_run_is_the_serial_one_and_kills_the_children(monkeypatch):
+    # every replication's sds overflow at 1e300, so the first run fails
+    # while the children are still counting theirs
+    processes(monkeypatch, 2)
+    with pytest.raises(LedgerError) as info:
+        null_exceedance(n=20, sigma=(1e300, 1, 1), v_threshold=2.0, reps=100_000, seed=42)
+    assert str(info.value) == "study 'sim': sds must be finite"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("count", [2, 3])
+def test_an_error_in_a_childs_run_is_the_serial_one(monkeypatch, count):
+    # at 2e153 an sd overflows now and then: with seed 18 first in
+    # replications 8192..12288, the last run of both splits
+    args = dict(n=20, sigma=(2e153, 1, 1), v_threshold=2.0, seed=18)
+    processes(monkeypatch, 1)
+    null_exceedance(reps=8192, **args)
+    with pytest.raises(LedgerError) as serial:
+        null_exceedance(reps=12289, **args)
+    processes(monkeypatch, count)
+    with pytest.raises(LedgerError) as forked:
+        null_exceedance(reps=12289, **args)
+    assert str(forked.value) == str(serial.value) == "study 'sim': sds must be finite"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_run_whose_child_dies_is_counted_by_the_parent(monkeypatch):
+    # a child that exits non-zero without a word: its run is counted again
+    from evidential import simulate
+
+    args = dict(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=12289, seed=42)
+    processes(monkeypatch, 1)
+    expected = null_exceedance(**args)
+    parent, count_exceeding = os.getpid(), simulate._count_exceeding
+
+    def dying(*a):
+        if os.getpid() != parent:
+            os._exit(3)
+        return count_exceeding(*a)
+
+    monkeypatch.setattr(simulate, "_count_exceeding", dying)
+    processes(monkeypatch, 3)
+    assert null_exceedance(**args) == expected
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 20, 101, 1100])

@@ -1,6 +1,9 @@
 """Command-line interface: evaluate ledgers, invert thresholds, calibrate.
 
-Exit codes: 0 success, 1 computation error, 2 input/usage error.
+Exit codes: 0 success, 1 computation error or unwritable output, 2
+input/usage error, 130 interrupted; a closed pipe (``| head``) exits 1
+silently.  Commands raise; :func:`main` alone turns an exception into one
+``error:`` line and its exit code.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class ReportRow(namedtuple("ReportRow", "study value v_rendered z_v z_c notes"))
 
 
 def build_rows(studies, mode: engine.Mode | str) -> list[ReportRow]:
-    """Evaluate each study; an arithmetic failure is a ValueError naming it."""
+    """Evaluate each study; an arithmetic failure is re-raised naming it."""
     mode = engine.Mode(mode)
     rows = []
     for study in studies:
@@ -72,7 +75,7 @@ def build_rows(studies, mode: engine.Mode | str) -> list[ReportRow]:
             profile = geometry.variance_profile(study)
             ev = engine.profile_value(profile, mode)
         except ArithmeticError as exc:
-            raise ValueError(f"study '{study.id}': {_arithmetic(exc)}") from exc
+            raise ArithmeticError(f"study '{study.id}': {_arithmetic(exc)}") from exc
         notes = tuple(ledger.study_warnings(study))
         rows.append(ReportRow(study, ev, render_value(ev), profile.z_v, profile.z_c, notes))
     return rows
@@ -87,7 +90,7 @@ def _fmt_z(x: float) -> str:
     return f"{x:+.4e}" if abs(x) >= 1e6 else f"{x:+.4f}"
 
 
-def _render_table(rows, combined, tail_v, tail_fraction, out):
+def _render_table(rows, combined, tail_v, tail_fraction):
     header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [
         (
@@ -122,14 +125,14 @@ def _render_table(rows, combined, tail_v, tail_fraction, out):
         lines.append("notes:")
         for sid, note in notes:
             lines.append(f"  study '{sid}': {note}")
-    out.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _json_bound(x: float):
     return None if math.isinf(x) else x
 
 
-def _render_json(rows, combined, tail_v, tail_fraction, source, errors, out):
+def _render_json(rows, combined, tail_v, tail_fraction, source, errors):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source": source,
@@ -161,52 +164,39 @@ def _render_json(rows, combined, tail_v, tail_fraction, source, errors, out):
         "errors": [str(e) for e in errors],
     }
     # one line through the C encoder; ``python -m json.tool`` pretty-prints it
-    out.write(json.dumps(doc, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def cmd_compute(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_compute(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        err.write(f"error: cannot read {args.input}: {exc}\n")
-        return EXIT_INPUT
+        raise ValueError(f"cannot read {args.input}: {exc}") from exc
     led, errors = ledger.parse_ledger_lenient(text, source=args.input)
     for e in errors:
-        err.write(f"error: {e}\n")
+        sys.stderr.write(f"error: {e}\n")
     if errors and args.strict:
-        err.write("error: --strict forbids partial output\n")
+        sys.stderr.write("error: --strict forbids partial output\n")
         return EXIT_INPUT
     if not len(led):
-        err.write("error: no studies\n")
+        sys.stderr.write("error: no studies\n")
         return EXIT_INPUT
-    try:
-        rows = build_rows(led, args.mode)
-        combined = engine.combine([r.value for r in rows], prior_odds=args.prior_odds)
-        tail_v = 2.0
-        tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
-    except (ValueError, ArithmeticError) as exc:
-        err.write(f"error: {_arithmetic(exc)}\n")
-        return EXIT_COMPUTE
+    rows = build_rows(led, args.mode)
+    combined = engine.combine([r.value for r in rows], prior_odds=args.prior_odds)
+    tail_v = 2.0
+    tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
     if args.format == "json":
-        _render_json(rows, combined, tail_v, tail, led.source, errors, out)
+        _render_json(rows, combined, tail_v, tail, led.source, errors)
     else:
-        _render_table(rows, combined, tail_v, tail, out)
+        _render_table(rows, combined, tail_v, tail)
     return EXIT_INPUT if errors else EXIT_OK
 
 
-def cmd_threshold(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    try:
-        r = engine.threshold_ratio(args.v)
-        p = engine.null_tail_probability(args.v)
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    out.write(f"{r:.4f}, {p:.4f}\n")
+def cmd_threshold(args) -> int:
+    r = engine.threshold_ratio(args.v)
+    p = engine.null_tail_probability(args.v)
+    sys.stdout.write(f"{r:.4f}, {p:.4f}\n")
     return EXIT_OK
 
 
@@ -223,34 +213,22 @@ def _load_numpy():
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 
-def cmd_simulate(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_simulate(args) -> int:
     try:
         _load_numpy()
     except ImportError as exc:
-        err.write(f"error: simulate needs numpy: {exc}\n")
+        sys.stderr.write(f"error: simulate needs numpy: {exc}\n")
         return EXIT_COMPUTE
-    try:
-        sigma = tuple(float(s) for s in args.sigma.split(","))
-        if len(sigma) != 3:
-            raise ValueError("--sigma needs exactly three comma-separated values")
-        report = simulate.null_exceedance(
-            n=args.n, sigma=sigma, v_threshold=args.v, reps=args.reps, seed=args.seed
-        )
-    except (simulate.ParameterError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ArithmeticError as exc:
-        err.write(f"error: {_arithmetic(exc)}\n")
-        return EXIT_COMPUTE
-    except MemoryError as exc:  # numpy's names the array it could not allocate
-        err.write(f"error: out of memory: {exc}\n" if str(exc) else "error: out of memory\n")
-        return EXIT_COMPUTE
+    sigma = tuple(float(s) for s in args.sigma.split(","))
+    if len(sigma) != 3:
+        raise ValueError("--sigma needs exactly three comma-separated values")
+    report = simulate.null_exceedance(
+        n=args.n, sigma=sigma, v_threshold=args.v, reps=args.reps, seed=args.seed
+    )
     # the shortest label that reads back as v: %g unless it rounds v
     v = f"{report.v_threshold:g}"
     v = v if float(v) == report.v_threshold else repr(report.v_threshold)
-    out.write(
+    sys.stdout.write(
         f"reps: {report.reps}  seed: {report.seed}  v: {v}\n"
         f"P(V >= {v}) = {report.exceed_prob:.4f}"
         f"  (mc stderr {report.mc_stderr:.4f})\n"
@@ -295,8 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; the one place an exception becomes an exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a failed write is reported too
+        return code
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130
+    except BrokenPipeError:
+        # Python's recipe: stdout to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_COMPUTE
+    except OSError as exc:
+        message, code = f"cannot write output: {exc}", EXIT_COMPUTE
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        message, code = f"out of memory: {exc}" if str(exc) else "out of memory", EXIT_COMPUTE
+    except ArithmeticError as exc:
+        message, code = _arithmetic(exc), EXIT_COMPUTE
+    except ValueError as exc:
+        message, code = str(exc), EXIT_INPUT
+    sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from fractions import Fraction
 from pathlib import Path
 
 #: Mandatory CSV header, fixed order.
@@ -117,8 +116,8 @@ def _number(cell, quotient: bool):
     """A cell as a float, or None when it holds no number.
 
     A cell is text or a JSON number; bools and other JSON values hold no
-    number.  Text like ``141/6`` is an exact quotient where *quotient* is
-    set (the ``n`` column).
+    number.  Text like ``141/6`` is a quotient of integers, correctly
+    rounded as int / int is, where *quotient* is set (the ``n`` column).
     """
     kind = type(cell)
     try:
@@ -127,7 +126,7 @@ def _number(cell, quotient: bool):
         if kind is str:
             if quotient and "/" in cell:
                 num, _, den = cell.partition("/")
-                return float(Fraction(int(num), int(den)))
+                return int(num) / int(den)
             return float(cell)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass

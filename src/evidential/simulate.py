@@ -30,9 +30,9 @@ and rows with a zero paper floor are decided by
 :func:`~evidential.engine.evidential_value`, so the estimate is the
 per-replication loop's, bit for bit.
 
-The chunks are split into contiguous runs of whole chunks, as equal in
-replications as whole chunks allow, one per CPU this process may run on
-but each of at least ``_PROCESS_CHUNKS`` whole chunks.  The first run is
+The chunks are split into contiguous runs of whole chunks, whose counts of
+chunks differ by at most one, one per CPU this process may run on but
+each of at least ``_PROCESS_CHUNKS`` whole chunks.  The first run is
 counted here; each other run in a child forked after numpy, the generator
 and the buffers exist, which writes its count to a pipe and leaves by
 ``os._exit``.  The estimate is a sum of per-replication integer decisions,
@@ -379,14 +379,10 @@ def _processes(chunks):
 def _runs(reps, chunk, processes):
     """range(reps) as contiguous runs ``(start, stop)`` of whole chunks of
     *chunk* replications (the last may be partial), one per process but at
-    most one per chunk, as equal in replications as whole chunks allow."""
+    most one per chunk, whose counts of chunks differ by at most one."""
     chunks = -(-reps // chunk)
     processes = min(processes, chunks)
-    bounds = [0]
-    for i in range(1, processes):
-        nearest = round(reps * i / (processes * chunk))
-        bounds.append(max(bounds[-1] + 1, min(nearest, chunks - processes + i)))
-    starts = [b * chunk for b in bounds]
+    starts = [chunks * i // processes * chunk for i in range(processes)]
     return list(zip(starts, starts[1:] + [reps]))
 
 
@@ -404,7 +400,10 @@ def _forked_sum(work, runs):
 
     children = []  # (pid, read end of its pipe, run), pid None if not forked
     # a collection in a child then leaves the pages of the parent's objects
-    # shared instead of copying them
+    # shared instead of copying them.  A child of a 3M-rep run at n = 20
+    # collects nothing today, but one made to run gc.collect() raises the
+    # parent's Private_Dirty from 3.5 to 9.1 MB and its Pss from 23 to 26 MB
+    # without the freeze (RSS unchanged; Linux smaps_rollup, mid-run)
     gc.freeze()
     try:
         # a Ctrl-C waits until each new child is on the list, to be killed

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import evidential
-from evidential.cli import build_parser, main, render_value
+from evidential.cli import main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
 from evidential.ledger import StudyLedger, StudySummary
 
@@ -38,9 +39,8 @@ def reference_csv(tmp_path, reference):
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code = args.func(args, out=out, err=err)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -481,8 +481,8 @@ def cold(argv, **kwargs):
     # a fresh `python -m evidential.cli`, its OpenBLAS thread count its own
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.path.dirname(evidential.__path__[0])
-    return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+    return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env, **kwargs)
 
 
 def test_cold_simulate_prints_the_readme_lines():
@@ -534,8 +534,38 @@ def test_ctrl_c_leaves_no_simulate_process(target):
             left = True
         except ProcessLookupError:
             left = False
-    assert "KeyboardInterrupt" in err, err
+    assert (proc.returncode, err) == (130, "error: interrupted\n")
     assert not left
+
+
+def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, suspect_csv):
+    from evidential import cli
+
+    def interrupted(studies, mode):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_rows", interrupted)
+    assert run(["compute", "--input", str(suspect_csv)]) == (130, "", "error: interrupted\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_that_cannot_be_written_is_one_line_and_exit_1(suspect_csv):
+    with open("/dev/full", "w") as full:
+        proc = cold(["compute", "--input", str(suspect_csv), "--mode", "exact"], stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1, err
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err, err
+
+
+def test_a_closed_pipe_exits_1_without_a_message(suspect_csv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = cold(["compute", "--input", str(suspect_csv)], stdout=write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")
 
 
 # --- entry point -------------------------------------------------------------------

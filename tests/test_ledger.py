@@ -79,6 +79,16 @@ def test_parse_rational_n():
         # quotients are read in the n column only
         with pytest.raises(LedgerError, match=re.escape(f"{where(0)}, column x1")):
             parse_ledger(render(fmt, [GOOD], [(0, "x1", "141/6")]))
+        # a quotient is the correctly rounded float of its exact value
+        led = parse_ledger(render(fmt, [GOOD], [(0, "n", "100/3")]))
+        assert led.studies[0].n == 100 / 3, fmt
+        # a negative one is a number, refused by the row rules; a zero
+        # denominator, or a value beyond the float range, is no number
+        _, errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "1/-6")]))
+        assert [str(e) for e in errors] == ["study 'good': n must be positive"], fmt
+        for cell in ("1/0", "1" * 400 + "/3"):
+            with pytest.raises(LedgerError, match=re.escape(f"{where(0)}, column n: could not")):
+                parse_ledger(render(fmt, [GOOD], [(0, "n", cell)]))
 
 
 def test_parse_rejects_zero_sd():

@@ -417,6 +417,8 @@ def test_runs_are_contiguous_whole_chunks_balanced_by_replications():
             assert runs[0][0] == 0 and runs[-1][1] == reps
             assert all(start % 3808 == 0 and start < stop for start, stop in runs)
             assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+            # no run is longer than ⌈chunks / count⌉ chunks
+            assert all(stop - start <= -(-reps // 3808 // count) * 3808 for start, stop in runs)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -1,9 +1,9 @@
 """Command-line interface: evaluate ledgers, invert thresholds, calibrate.
 
-Exit codes: 0 success, 1 computation error or unwritable output, 2
-input/usage error, 130 interrupted; a closed pipe (``| head``) exits 1
-silently.  Commands raise; :func:`main` alone turns an exception into one
-``error:`` line and its exit code.
+Exit codes: 0 success, 1 computation error or unwritable output, 2 input/usage
+error, 130 interrupted; a closed pipe (``| head``) exits 1 silently.  Commands
+return an exit code and their report, or raise; :func:`main` alone writes the
+report and turns an exception into one ``error:`` line and its exit code.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ class ReportRow(namedtuple("ReportRow", "study value v_rendered z_v z_c notes"))
 
 
 def build_rows(studies, mode: engine.Mode | str) -> list[ReportRow]:
-    """Evaluate each study; an arithmetic failure is re-raised naming it."""
+    """Evaluate each study; a math failure is an ArithmeticError naming it."""
     mode = engine.Mode(mode)
     rows = []
     for study in studies:
         try:
             profile = geometry.variance_profile(study)
             ev = engine.profile_value(profile, mode)
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:  # e.g. a math domain error
             raise ArithmeticError(f"study '{study.id}': {_arithmetic(exc)}") from exc
         notes = tuple(ledger.study_warnings(study))
         rows.append(ReportRow(study, ev, render_value(ev), profile.z_v, profile.z_c, notes))
@@ -90,7 +90,7 @@ def _fmt_z(x: float) -> str:
     return f"{x:+.4e}" if abs(x) >= 1e6 else f"{x:+.4f}"
 
 
-def _render_table(rows, combined, tail_v, tail_fraction):
+def _render_table(rows, combined, tail_v, tail_fraction) -> str:
     header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [
         (
@@ -125,14 +125,14 @@ def _render_table(rows, combined, tail_v, tail_fraction):
         lines.append("notes:")
         for sid, note in notes:
             lines.append(f"  study '{sid}': {note}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _json_bound(x: float):
     return None if math.isinf(x) else x
 
 
-def _render_json(rows, combined, tail_v, tail_fraction, source, errors):
+def _render_json(rows, combined, tail_v, tail_fraction, source, errors) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source": source,
@@ -164,10 +164,10 @@ def _render_json(rows, combined, tail_v, tail_fraction, source, errors):
         "errors": [str(e) for e in errors],
     }
     # one line through the C encoder; ``python -m json.tool`` pretty-prints it
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[int, str]:
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
@@ -178,26 +178,25 @@ def cmd_compute(args) -> int:
         sys.stderr.write(f"error: {e}\n")
     if errors and args.strict:
         sys.stderr.write("error: --strict forbids partial output\n")
-        return EXIT_INPUT
+        return EXIT_INPUT, ""
     if not len(led):
         sys.stderr.write("error: no studies\n")
-        return EXIT_INPUT
+        return EXIT_INPUT, ""
     rows = build_rows(led, args.mode)
     combined = engine.combine([r.value for r in rows], prior_odds=args.prior_odds)
     tail_v = 2.0
     tail = engine.empirical_tail_fraction([r.value for r in rows], tail_v)
     if args.format == "json":
-        _render_json(rows, combined, tail_v, tail, led.source, errors)
+        report = _render_json(rows, combined, tail_v, tail, led.source, errors)
     else:
-        _render_table(rows, combined, tail_v, tail)
-    return EXIT_INPUT if errors else EXIT_OK
+        report = _render_table(rows, combined, tail_v, tail)
+    return EXIT_INPUT if errors else EXIT_OK, report
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple[int, str]:
     r = engine.threshold_ratio(args.v)
     p = engine.null_tail_probability(args.v)
-    sys.stdout.write(f"{r:.4f}, {p:.4f}\n")
-    return EXIT_OK
+    return EXIT_OK, f"{r:.4f}, {p:.4f}\n"
 
 
 def _load_numpy():
@@ -213,12 +212,12 @@ def _load_numpy():
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     try:
         _load_numpy()
     except ImportError as exc:
         sys.stderr.write(f"error: simulate needs numpy: {exc}\n")
-        return EXIT_COMPUTE
+        return EXIT_COMPUTE, ""
     sigma = tuple(float(s) for s in args.sigma.split(","))
     if len(sigma) != 3:
         raise ValueError("--sigma needs exactly three comma-separated values")
@@ -228,12 +227,11 @@ def cmd_simulate(args) -> int:
     # the shortest label that reads back as v: %g unless it rounds v
     v = f"{report.v_threshold:g}"
     v = v if float(v) == report.v_threshold else repr(report.v_threshold)
-    sys.stdout.write(
+    return EXIT_OK, (
         f"reps: {report.reps}  seed: {report.seed}  v: {v}\n"
         f"P(V >= {v}) = {report.exceed_prob:.4f}"
         f"  (mc stderr {report.mc_stderr:.4f})\n"
     )
-    return EXIT_OK
 
 
 def _positive_float(text):
@@ -276,20 +274,23 @@ def main(argv=None) -> int:
     """Run one command; the one place an exception becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # here, so that a failed write is reported too
+        code, report = args.func(args)
+        try:  # the one write of a report, flushed so that its failure is seen here
+            sys.stdout.write(report)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Python's recipe: stdout to devnull, so the bytes still in its
+            # buffer cannot fail again in the flush at exit (exit code 120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):  # a reader that left is no error
+                sys.stderr.write(f"error: cannot write output: {exc}\n")
+            return EXIT_COMPUTE
         return code
     except KeyboardInterrupt:
         message, code = "interrupted", 130
-    except BrokenPipeError:
-        # Python's recipe: stdout to devnull, so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_COMPUTE
-    except OSError as exc:
-        message, code = f"cannot write output: {exc}", EXIT_COMPUTE
     except MemoryError as exc:  # numpy's names the array it could not allocate
         message, code = f"out of memory: {exc}" if str(exc) else "out of memory", EXIT_COMPUTE
-    except ArithmeticError as exc:
+    except (ArithmeticError, OSError) as exc:  # an OSError here is not the report's write
         message, code = _arithmetic(exc), EXIT_COMPUTE
     except ValueError as exc:
         message, code = str(exc), EXIT_INPUT

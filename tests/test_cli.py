@@ -477,9 +477,11 @@ SEED_42 = ["simulate", "--n", "20", "--sigma", "1,1,1", "--v", "2", "--reps", "1
            "--seed", "42"]
 
 
-def cold(argv, **kwargs):
-    # a fresh `python -m evidential.cli`, its OpenBLAS thread count its own
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def cold(argv, env=(), **kwargs):
+    # a fresh `python -m evidential.cli` as a shell starts it: its OpenBLAS
+    # thread count its own, its stdout block-buffered; *env* adds variables
+    drop = ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")
+    env = {**{k: v for k, v in os.environ.items() if k not in drop}, **dict(env)}
     env["PYTHONPATH"] = os.path.dirname(evidential.__path__[0])
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
     return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env, **kwargs)
@@ -549,12 +551,41 @@ def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, suspect_csv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_output_that_cannot_be_written_is_one_line_and_exit_1(suspect_csv):
+@pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}])
+def test_output_that_cannot_be_written_is_one_line_and_exit_1(suspect_csv, env):
+    # buffered, the report fails in the flush and its bytes stay in the
+    # buffer, where the flush at exit would fail again; unbuffered, in the write
     with open("/dev/full", "w") as full:
-        proc = cold(["compute", "--input", str(suspect_csv), "--mode", "exact"], stdout=full)
+        argv = ["compute", "--input", str(suspect_csv), "--mode", "exact"]
+        proc = cold(argv, env, stdout=full)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1, err
-    assert err.startswith("error: cannot write output: ") and "Traceback" not in err, err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+def test_an_os_error_outside_the_write_is_not_called_one(monkeypatch, suspect_csv):
+    from evidential import cli
+
+    def out_of_descriptors(studies, mode):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(cli, "build_rows", out_of_descriptors)
+    code, out, err = run(["compute", "--input", str(suspect_csv)])
+    assert (code, out, err) == (1, "", "error: [Errno 24] Too many open files\n")
+
+
+def test_a_value_error_in_evaluation_is_a_computation_error(monkeypatch, tmp_path):
+    # a math domain error names its study and exits 1, as an overflow does
+    from evidential import geometry
+
+    def domain_error(study):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(geometry, "variance_profile", domain_error)
+    path = tmp_path / "one.csv"
+    path.write_bytes(HEADER_LINE + b"a,20,1,2,3,1,1,1\n")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, out, err) == (1, "", "error: study 'a': math domain error\n")
 
 
 def test_a_closed_pipe_exits_1_without_a_message(suspect_csv):

@@ -199,22 +199,9 @@ def cmd_threshold(args) -> tuple[int, str]:
     return EXIT_OK, f"{r:.4f}, {p:.4f}\n"
 
 
-def _load_numpy():
-    # simulate multiplies no matrices, so OpenBLAS's worker pool would only
-    # cost start-up time; OpenBLAS reads its thread count once, as it loads,
-    # and a caller's own setting, or a numpy already loaded, is left alone
-    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
-        return simulate.np
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        return simulate.np
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
-
 def cmd_simulate(args) -> tuple[int, str]:
     try:
-        _load_numpy()
+        simulate.np  # loads numpy as simulate loads it for every caller
     except ImportError as exc:
         sys.stderr.write(f"error: simulate needs numpy: {exc}\n")
         return EXIT_COMPUTE, ""

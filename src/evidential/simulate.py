@@ -7,8 +7,8 @@ and row 0 is drawn but not used.  So Monte Carlo results are reproducible
 bit-for-bit however the replications are scheduled.  numpy is imported on
 first use (the module attribute ``np``), so importing this module, and the
 commands that never simulate, need the stdlib only.  Nothing here
-multiplies matrices: the ``simulate`` command loads numpy with one
-OpenBLAS thread unless its caller set ``OPENBLAS_NUM_THREADS``.
+multiplies matrices: this module loads numpy with one OpenBLAS thread, for
+every caller, unless the caller set ``OPENBLAS_NUM_THREADS``.
 
 :func:`null_exceedance` runs one loop per chunk of 16 blocks of
 replications.  It computes the chunk's PCG64 state words on uint64 limbs
@@ -41,8 +41,9 @@ split.  A run whose child fails or writes nothing is counted here again,
 which raises the error a serial run raises; an error here kills and reaps
 the children before it propagates.  Everything runs in this one process
 where ``os.fork`` is missing, where this process runs more than one OS
-thread (per ``/proc/self/task``; the ``simulate`` command's single
-OpenBLAS thread keeps it at one), or where there are too few chunks.
+thread (per ``/proc/self/task``; the single OpenBLAS thread this module
+loads numpy with, for every caller, keeps it at one), or where there are
+too few chunks.
 """
 
 from __future__ import annotations
@@ -70,14 +71,22 @@ __all__ = [
 
 def _numpy():
     # the module global np, bound by the first call (or by whoever sets
-    # simulate.np first)
+    # simulate.np first).  Nothing here multiplies matrices, so an OpenBLAS
+    # worker pool would only cost start-up time and keep _processes at 1;
+    # OpenBLAS reads its thread count once, as it loads, and a caller's own
+    # setting, or a numpy already loaded, is left alone
     global np
+    if "np" in globals():
+        return np
+    one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        return np
-    except NameError:
         import numpy as np
-
-        return np
+    finally:
+        if one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return np
 
 
 def __getattr__(name):
@@ -366,7 +375,8 @@ def _processes(chunks):
     this process may run on, each with at least _PROCESS_CHUNKS of them.
     One where a fork is unsafe or unknown to be safe: without os.fork, or
     while this process runs more than one OS thread (another thread's
-    locks would stay held in a child)."""
+    locks would stay held in a child; this module loads numpy with one
+    OpenBLAS thread, for every caller, so numpy starts none)."""
     try:
         if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) != 1:
             return 1
@@ -389,16 +399,16 @@ def _runs(reps, chunk, processes):
 def _forked_sum(work, runs):
     """``sum(work(start, stop) for start, stop in runs)``: every run after
     the first in a forked child that writes its count to a pipe, the first
-    here.  A run whose child could not be forked, exits non-zero or writes
-    nothing is worked here, in order, so an error is the one a serial run
-    raises.  Every child has exited and been reaped when this returns or
-    raises: an error here kills the children still running first.
+    here.  A run whose pipe or child could not be made, or whose child
+    fails or writes nothing, is worked here, in order, so an error is the
+    one a serial run raises.  Every child has been reaped when this returns
+    or raises: an error here kills the children still running first.
     """
     if len(runs) == 1:
         return work(*runs[0])
     import signal  # here, so that loading the command line never loads it
 
-    children = []  # (pid, read end of its pipe, run), pid None if not forked
+    children = []  # (pid, read end of its pipe, run), None for what was not made
     # a collection in a child then leaves the pages of the parent's objects
     # shared instead of copying them.  A child of a 3M-rep run at n = 20
     # collects nothing today, but one made to run gc.collect() raises the
@@ -410,11 +420,12 @@ def _forked_sum(work, runs):
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for run in runs[1:]:
-                read, write = os.pipe()
+                pid = read = None
                 try:
+                    read, write = os.pipe()
                     pid = os.fork()
                 except OSError:
-                    pid = None
+                    pass
                 if pid == 0:
                     status = 1
                     try:
@@ -425,16 +436,18 @@ def _forked_sum(work, runs):
                         # out without the parent's cleanup, buffers or handlers
                         os._exit(status)
                 children.append((pid, read, run))
-                os.close(write)
+                if read is not None:
+                    os.close(write)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         total = work(*runs[0])
         while children:
             pid, read, run = children[0]
-            sent = os.read(read, 64)
+            sent = b"" if pid is None else os.read(read, 64)
             status = 1 if pid is None else os.waitpid(pid, 0)[1]
             children.pop(0)
-            os.close(read)
+            if read is not None:
+                os.close(read)
             total += int(sent) if status == 0 and sent else work(*run)
         return total
     finally:
@@ -444,7 +457,8 @@ def _forked_sum(work, runs):
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-            os.close(read)
+            if read is not None:
+                os.close(read)
 
 
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:

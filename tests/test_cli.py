@@ -487,15 +487,47 @@ def cold(argv, env=(), **kwargs):
     return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env, **kwargs)
 
 
-def test_cold_simulate_prints_the_readme_lines():
-    # the command's own process rule, forking where it may
+def readme_seed_42_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = readme.splitlines()
     at = lines.index("evidential " + " ".join(SEED_42))
     expected = [line.removeprefix("# -> ") for line in lines[at + 1 : at + 3]]
     assert expected[1].startswith("P(V >= 2) = 0.2473 "), expected
+    return expected
+
+
+def test_cold_simulate_prints_the_readme_lines():
+    # the command's own process rule, forking where it may
     out, err = cold(SEED_42).communicate(timeout=120)
-    assert (out.splitlines(), err) == (expected, "")
+    assert (out.splitlines(), err) == (readme_seed_42_lines(), "")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(os, "fork"),
+    reason="lists open descriptors in /proc; forks",
+)
+def test_simulate_without_a_descriptor_for_a_pipe_runs_serially():
+    # no descriptor is left for the pipe of a second process, which the
+    # serial run does without: its run is counted here, as a failed fork's is
+    code = (
+        "import contextlib, os, resource, signal, sys  # signal: as a split run does\n"
+        "from evidential import cli, simulate\n"
+        "simulate.null_exceedance(20, (1, 1, 1), 2.0, 1000, 0)  # loads what a run needs\n"
+        "simulate._processes = lambda chunks: 2\n"
+        "open_fds = len(os.listdir('/proc/self/fd')) - 1  # less listdir's own\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds, hard))\n"
+        "with contextlib.suppress(OSError):  # and fill any gap below the limit\n"
+        "    while True:\n"
+        "        os.dup(2)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(evidential.__path__[0])
+    proc = subprocess.run([sys.executable, "-c", code, *SEED_42], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == readme_seed_42_lines()
 
 
 @pytest.mark.skipif(

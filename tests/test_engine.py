@@ -249,6 +249,12 @@ def test_combine_multiplies_bare_values():
     assert combined.product_lower == pytest.approx(6.0)
 
 
+def test_combine_defaults_to_even_prior_odds():
+    combined = combine([_point(2.0), EvidentialValue(3.0, INF, Case.BELOW, Mode.PAPER)])
+    assert combined.prior_odds == 1.0
+    assert (combined.posterior_odds_lower, combined.posterior_odds_upper) == (6.0, INF)
+
+
 def test_combine_domain_errors():
     with pytest.raises(ValueError, match="no studies"):
         combine([])
@@ -299,6 +305,15 @@ def test_case_expressions_agree_at_boundaries():
         # at r == 1, the middle value meets the above-case value 1
         assert math.exp(log_value(math.nextafter(1.0, 0.0), q)) == pytest.approx(1.0, abs=1e-10)
         assert log_value(math.nextafter(1.0, 2.0), q) == 0.0
+
+
+def test_r_of_exactly_one_is_the_middle_case():
+    # n = 9, contrast 1 and s0 = 3 give r = 1 exactly, where V = 1
+    study = StudySummary("one", 9, (1.0, 0.0, 0.0), (2.0, 1.0, 1.0))
+    assert variance_profile(study).z_v == 1.0
+    for mode in Mode:
+        value = evidential_value(study, mode)
+        assert (value.case, value.lower, value.upper) == (Case.MIDDLE, 1.0, 1.0), mode
 
 
 def test_value_is_continuous_across_the_floor_boundary():

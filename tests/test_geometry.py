@@ -206,6 +206,15 @@ def test_variance_profile_row8(suspect):
     assert prof.q_paper == pytest.approx(math.sqrt(0.044356248291749466 / s0_sq), abs=1e-12)
 
 
+def test_variance_profile_decides_a_near_triangle_in_decimal_at_any_scale():
+    # 2*4.000000000000001 - (4.000000000000001 + 2*1 + 2) is 1e-15 in the
+    # printed decimals, too close to zero for the float sign: decided in
+    # decimal, it is then put in the profile's units of 4 like every sd
+    study = StudySummary("t", 20, (0.0, 0.0, 0.0), (4.000000000000001, 1.0, 2.0))
+    q_exact = variance_profile(study).q_exact
+    assert q_exact == pytest.approx(1e-15 / math.sqrt(24), rel=1e-12, abs=0)
+
+
 def test_variance_profile_equal_means_gives_zero_contrast():
     study = StudySummary("c", 20, (3.3, 3.3, 3.3), (1.0, 2.0, 0.5))
     assert variance_profile(study).z_v == 0.0

@@ -100,25 +100,39 @@ def test_simulate_without_numpy_is_an_error_not_a_traceback():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+#: the ways numpy gets loaded: the command, a library call, and a bare read
+#: of simulate.np, as perfbench/tracer.py reads it before the command runs
+LOADERS = {
+    "command": f"from evidential.cli import main\nmain({SIMULATE})",
+    "library": "from evidential.simulate import null_exceedance\n"
+    "null_exceedance(20, (1, 1, 1), 2.0, 1000, 0)",
+    "bare_read": "from evidential import simulate\nsimulate.np",
+}
+LOADS = [(loader, threads) for loader in LOADERS for threads in (None, "2")]
+
+
 @pytest.mark.skipif(
-    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
     reason="counts threads in /proc/self/task; OpenBLAS starts no pool on one CPU",
 )
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_simulate_starts_no_blas_pool_and_restores_the_environment(threads):
-    # simulate multiplies no matrices: the command loads numpy with one
-    # OpenBLAS thread unless the caller chose a count, which it keeps
+@pytest.mark.parametrize(
+    "loader, threads", LOADS, ids=[f"{l}-{t}".removeprefix("command-") for l, t in LOADS]
+)
+def test_simulate_starts_no_blas_pool_and_restores_the_environment(loader, threads):
+    # simulate multiplies no matrices: however numpy is loaded, simulate
+    # loads it with one OpenBLAS thread unless the caller chose a count,
+    # which it keeps; with one thread it may split replications across CPUs
     env = {"OPENBLAS_NUM_THREADS": threads} if threads else {}
     proc = _run(
         "import os, sys\n"
-        "from evidential.cli import main\n"
-        "loaded = 'numpy' in sys.modules\n"
-        f"main({SIMULATE})\n"
-        "print(loaded, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))",
+        f"{LOADERS[loader]}\n"
+        "from evidential.simulate import _processes\n"
+        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')), _processes(24),"
+        " os.environ.get('OPENBLAS_NUM_THREADS'))",
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, tasks, value = proc.stdout.splitlines()[-1].split()
-    assert loaded == "False" and value == str(threads)
+    loaded, tasks, processes, value = proc.stdout.splitlines()[-1].split()
+    assert loaded == "True" and value == str(threads)
     if threads is None:
-        assert tasks == "1"
+        assert tasks == "1" and int(processes) > 1

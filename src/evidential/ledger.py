@@ -197,32 +197,32 @@ def _json_rows(text: str, source: str):
     return doc.get("source", source), rows
 
 
-def parse_ledger_lenient(text: str, source: str = "<string>"):
-    """Parse a ledger document (CSV dialect or JSON mapping) row by row.
-
-    Returns ``(ledger, errors)``: rows that fail to parse, rows whose
-    :class:`StudySummary` construction fails (the error gets the row
-    attached), and repeated ids are dropped from the ledger and reported
-    in *errors*; well-formed rows survive.  Both formats share these row
-    rules; a malformed document (no or bad CSV header, invalid JSON, no
-    ``studies`` list) yields no rows and one error.  One leading UTF-8
-    byte-order mark, as spreadsheet exports write, is dropped.
-
-    CSV: UTF-8, comma-delimited, mandatory header ``id,n,x1,x2,x3,s1,s2,s3``,
-    comment lines start with ``#``; rows are named ``row N`` (1-based
-    input line).  JSON (sniffed by a leading ``{`` or ``[``):
-    ``{"studies": [{"id", "n", "means", "sds"}, ...]}`` with an optional
-    top-level ``source``; rows are named ``studies[k]``.  Cells are numbers
-    or their text; ``n`` also accepts quotients like ``141/6``.
+def document_rows(text: str, source: str = "<string>"):
+    """The rows of a ledger document, as ``(source, rows)`` for
+    :func:`parse_rows`.  One leading UTF-8 byte-order mark, as spreadsheet
+    exports write, is dropped.  CSV: UTF-8, comma-delimited, mandatory header
+    ``id,n,x1,x2,x3,s1,s2,s3``, comment lines start with ``#``; rows are
+    named ``row N`` (1-based input line).  JSON (sniffed by a leading ``{``
+    or ``[``): ``{"studies": [{"id", "n", "means", "sds"}, ...]}`` with an
+    optional top-level ``source``, which replaces *source*; rows are named
+    ``studies[k]``.  A malformed document (no or bad CSV header, invalid
+    JSON, no ``studies`` list) is one row that is its error.
     """
     text = text.removeprefix("\ufeff")
     try:
         if text.lstrip()[:1] in ("{", "["):
-            source, rows = _json_rows(text, source)
-        else:
-            rows = _csv_rows(text, source)
+            return _json_rows(text, source)
+        return source, _csv_rows(text, source)
     except LedgerError as exc:
-        return StudyLedger(studies=(), source=source), [exc]
+        return source, [(None, None, exc)]
+
+
+def parse_rows(rows):
+    """``(studies, errors)`` of :func:`document_rows`' rows: rows that fail
+    to parse, rows whose :class:`StudySummary` construction fails (the error
+    gets the row attached) and repeated ids are errors.  Cells are numbers
+    or their text; ``n`` also accepts quotients like ``141/6``.
+    """
     studies: list[StudySummary] = []
     errors: list[LedgerError] = []
     seen: dict[str, str] = {}
@@ -269,7 +269,16 @@ def parse_ledger_lenient(text: str, source: str = "<string>"):
             continue
         seen[study_id] = where
         studies.append(study)
-    return StudyLedger(studies=tuple(studies), source=source), errors
+    return studies, errors
+
+
+def parse_ledger_lenient(text: str, source: str = "<string>"):
+    """``(ledger, errors)`` of a ledger document (CSV dialect or JSON
+    mapping) read by :func:`document_rows` and :func:`parse_rows`: rows
+    survive the errors of others, a malformed document is one error."""
+    source, rows = document_rows(text, source)
+    studies, errors = parse_rows(rows)
+    return StudyLedger(studies, source), errors
 
 
 def parse_ledger(text: str, source: str = "<string>") -> StudyLedger:

@@ -30,32 +30,26 @@ and rows with a zero paper floor are decided by
 :func:`~evidential.engine.evidential_value`, so the estimate is the
 per-replication loop's, bit for bit.
 
-The chunks are split into contiguous runs of whole chunks, whose counts of
-chunks differ by at most one, one per CPU this process may run on but
-each of at least ``_PROCESS_CHUNKS`` whole chunks.  The first run is
-counted here; each other run in a child forked after numpy, the generator
-and the buffers exist, which writes its count to a pipe and leaves by
-``os._exit``.  The estimate is a sum of per-replication integer decisions,
-each drawn from its own stream, so it is the same however the runs are
-split.  A run whose child fails or writes nothing is counted here again,
-which raises the error a serial run raises; an error here kills and reaps
-the children before it propagates.  Everything runs in this one process
-where ``os.fork`` is missing, where this process runs more than one OS
-thread (per ``/proc/self/task``; the single OpenBLAS thread this module
-loads numpy with, for every caller, keeps it at one), or where there are
-too few chunks.
+The chunks are split into contiguous runs of whole chunks, one per CPU
+this process may run on but each of at least ``_PROCESS_CHUNKS`` whole
+chunks, by :mod:`evidential._fork`: the first run is counted here, each
+other run in a child forked after numpy, the generator and the buffers
+exist.  The estimate is a sum of per-replication integer decisions, each
+drawn from its own stream, so it is the same however the runs are split,
+and an error is the one a serial run raises.  The single OpenBLAS thread
+this module loads numpy with, for every caller, keeps this process at the
+one OS thread a fork needs.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import os
 import sys
 from collections import namedtuple
-from contextlib import suppress
 from functools import partial
 
+from . import _fork
 from .engine import Mode, evidential_value
 from .ledger import StudySummary
 
@@ -72,7 +66,7 @@ __all__ = [
 def _numpy():
     # the module global np, bound by the first call (or by whoever sets
     # simulate.np first).  Nothing here multiplies matrices, so an OpenBLAS
-    # worker pool would only cost start-up time and keep _processes at 1;
+    # worker pool would only cost start-up time and keep _fork.processes at 1;
     # OpenBLAS reads its thread count once, as it loads, and a caller's own
     # setting, or a numpy already loaded, is left alone
     global np
@@ -370,97 +364,6 @@ def _count_exceeding(means, sds, n, v_threshold):
     return count
 
 
-def _processes(chunks):
-    """How many processes share *chunks* whole seeding chunks: one per CPU
-    this process may run on, each with at least _PROCESS_CHUNKS of them.
-    One where a fork is unsafe or unknown to be safe: without os.fork, or
-    while this process runs more than one OS thread (another thread's
-    locks would stay held in a child; this module loads numpy with one
-    OpenBLAS thread, for every caller, so numpy starts none)."""
-    try:
-        if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) != 1:
-            return 1
-        cpus = len(os.sched_getaffinity(0))
-    except OSError:
-        return 1
-    return max(1, min(cpus, chunks // _PROCESS_CHUNKS))
-
-
-def _runs(reps, chunk, processes):
-    """range(reps) as contiguous runs ``(start, stop)`` of whole chunks of
-    *chunk* replications (the last may be partial), one per process but at
-    most one per chunk, whose counts of chunks differ by at most one."""
-    chunks = -(-reps // chunk)
-    processes = min(processes, chunks)
-    starts = [chunks * i // processes * chunk for i in range(processes)]
-    return list(zip(starts, starts[1:] + [reps]))
-
-
-def _forked_sum(work, runs):
-    """``sum(work(start, stop) for start, stop in runs)``: every run after
-    the first in a forked child that writes its count to a pipe, the first
-    here.  A run whose pipe or child could not be made, or whose child
-    fails or writes nothing, is worked here, in order, so an error is the
-    one a serial run raises.  Every child has been reaped when this returns
-    or raises: an error here kills the children still running first.
-    """
-    if len(runs) == 1:
-        return work(*runs[0])
-    import signal  # here, so that loading the command line never loads it
-
-    children = []  # (pid, read end of its pipe, run), None for what was not made
-    # a collection in a child then leaves the pages of the parent's objects
-    # shared instead of copying them.  A child of a 3M-rep run at n = 20
-    # collects nothing today, but one made to run gc.collect() raises the
-    # parent's Private_Dirty from 3.5 to 9.1 MB and its Pss from 23 to 26 MB
-    # without the freeze (RSS unchanged; Linux smaps_rollup, mid-run)
-    gc.freeze()
-    try:
-        # a Ctrl-C waits until each new child is on the list, to be killed
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for run in runs[1:]:
-                pid = read = None
-                try:
-                    read, write = os.pipe()
-                    pid = os.fork()
-                except OSError:
-                    pass
-                if pid == 0:
-                    status = 1
-                    try:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        os.write(write, b"%d" % work(*run))
-                        status = 0
-                    finally:
-                        # out without the parent's cleanup, buffers or handlers
-                        os._exit(status)
-                children.append((pid, read, run))
-                if read is not None:
-                    os.close(write)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        total = work(*runs[0])
-        while children:
-            pid, read, run = children[0]
-            sent = b"" if pid is None else os.read(read, 64)
-            status = 1 if pid is None else os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if read is not None:
-                os.close(read)
-            total += int(sent) if status == 0 and sent else work(*run)
-        return total
-    finally:
-        gc.unfreeze()
-        for pid, read, _ in children:
-            with suppress(ProcessLookupError, ChildProcessError):
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            if read is not None:
-                os.close(read)
-
-
 def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     """Estimate P(V >= v) under data integrity by Monte Carlo.
 
@@ -503,6 +406,7 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
             total += _count_exceeding(means[: len(words)], sds[: len(words)], params.n, v_threshold)
         return total
 
-    count = _forked_sum(count_run, _runs(reps, len(means), _processes(reps // len(means))))
+    processes = _fork.processes(reps // len(means), _PROCESS_CHUNKS)
+    count = sum(_fork.forked_map(count_run, _fork.runs(reps, len(means), processes)))
     p = count / reps
     return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import evidential
@@ -17,7 +18,7 @@ from evidential.cli import main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
 from evidential.ledger import StudyLedger, StudySummary
 
-from helpers import CorrelationTriple, serialize_ledger
+from helpers import CorrelationTriple, ledger_to_mapping, random_study, serialize_ledger
 
 INF = math.inf
 HEADER_LINE = b"id,n,x1,x2,x3,s1,s2,s3\n"
@@ -338,6 +339,172 @@ def test_compute_partial_output_and_strict(tmp_path):
     assert "partial output" in err
 
 
+# --- compute split across processes -----------------------------------------
+
+SPLIT_ROWS = 2400
+
+
+def split_ledger(tmp_path, fmt, edits=(), count=SPLIT_ROWS, source="split"):
+    """*count* random studies as a CSV or JSON ledger file.  Each ``(k,
+    line)`` edit replaces the k-th study with a CSV line, or in JSON with
+    an entry."""
+    rng = np.random.default_rng(count)
+    ledger = StudyLedger([random_study(rng, f"s{k}") for k in range(count)], source)
+    if fmt == "csv":
+        lines = serialize_ledger(ledger).splitlines()
+        for k, line in edits:
+            lines[k + 1] = line
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = ledger_to_mapping(ledger)
+        for k, entry in edits:
+            doc["studies"][k] = entry
+        text = json.dumps(doc)
+    path = tmp_path / f"split.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def split_compute(monkeypatch):
+    """Run compute with the number of processes forced; give its exit code,
+    stdout and stderr, and how many runs it cut the rows into."""
+    from evidential import _fork
+
+    made = []
+    forked_map = _fork.forked_map
+
+    def counted(work, runs):
+        made.append(len(runs))
+        return forked_map(work, runs)
+
+    monkeypatch.setattr(_fork, "forked_map", counted)
+
+    def compute(argv, processes):
+        monkeypatch.setattr(_fork, "processes", lambda units, least: processes)
+        made.clear()
+        result = run(["compute", *argv])
+        assert_no_child_left()
+        return result, made[0]
+
+    return compute
+
+
+FORMATS = [(mode, fmt) for mode in ("paper", "exact") for fmt in ("table", "json")]
+
+#: split ledgers: format, edits, source, and the exit codes of paper and
+#: exact mode, table and JSON, then of --strict.  Errors are reported in row
+#: order, and an evaluation error is the first study's of a serial run
+SPLIT_CASES = {
+    # a JSON source that holds the text the rows are spliced in at
+    "json": ("json", [], 'a "rows": [] source', [0, 0, 0, 0, 0]),
+    "csv": ("csv", [], "split", [0, 0, 0, 0, 0]),
+    # parse errors in each of the three runs
+    "bad_rows": (
+        "csv",
+        [(5, "bad,20,x,0,0,1,1,1"), (1000, "short,20,1"), (2300, "neg,20,1,2,3,1,-1,1")],
+        "split",
+        [2, 2, 2, 2, 2],
+    ),
+    "bad_entries": ("json", [(7, 5), (1700, {"id": "k", "n": 20})], "split", [2, 2, 2, 2, 2]),
+    # the second of three runs has no study
+    "empty_run": ("json", [(k, None) for k in range(800, 1600)], "split", [2, 2, 2, 2, 2]),
+    # V beyond the float range in the second and third runs, after a bad row
+    "v_overflow": (
+        "csv",
+        [(300, "bad,20,x"), (1000, "a,20,1e-320,0,0,1,1,1"), (2000, "b,20,1e-320,0,0,1,1,1")],
+        "split",
+        [1, 1, 1, 1, 2],
+    ),
+    # each V is 3.3e149: the product of one per run exceeds the float range
+    "product_overflow": (
+        "csv",
+        [(k, f"big{k},20,1e-150,0,0,1,1,1") for k in (100, 1200, 2300)],
+        "split",
+        [1, 1, 1, 1, 1],
+    ),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_compute_split_across_processes_gives_the_one_process_report(
+    tmp_path, split_compute, case
+):
+    fmt, edits, source, codes = SPLIT_CASES[case]
+    path = split_ledger(tmp_path, fmt, edits, source=source)
+    got = []
+    for options in [[f"--mode={m}", f"--format={f}"] for m, f in FORMATS] + [["--strict"]]:
+        argv = ["--input", str(path), *options]
+        serial, one = split_compute(argv, 1)
+        assert (one, split_compute(argv, 3)) == (1, (serial, 3)), (case, options)
+        got.append(serial[0])
+    assert got == codes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_compute_with_a_repeated_id_runs_as_one_run(tmp_path, split_compute):
+    # each run checks its own rows for repeats, so a ledger that repeats an
+    # id is one run: the repeat is found wherever it is
+    path = split_ledger(tmp_path, "csv", [(2000, "s5,20,1,2,3,1,1,1")])
+    serial, one = split_compute(["--input", str(path)], 1)
+    assert split_compute(["--input", str(path)], 3) == (serial, 1)
+    code, _, err = serial
+    assert (code, err) == (2, "error: row 2002: duplicate study id 's5' (first at row 7)\n")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(os, "fork"),
+    reason="counts threads in /proc/self/task; sets its own CPU affinity",
+)
+def test_compute_splits_only_with_work_cpus_and_one_thread():
+    # in a fresh interpreter, which runs one OS thread (the test process may
+    # run OpenBLAS's): too few rows; enough; on one CPU, as `taskset -c 0`
+    # runs it; and with a second thread
+    code = (
+        "import os, threading\n"
+        "from evidential import _fork, cli\n"
+        "least, cpus = cli._PROCESS_ROWS, os.sched_getaffinity(0)\n"
+        "print(_fork.processes(2 * least - 1, least),"
+        " _fork.processes(2 * least, least) == min(len(cpus), 2))\n"
+        "os.sched_setaffinity(0, {min(cpus)})\n"
+        "print(_fork.processes(10**6, least))\n"
+        "os.sched_setaffinity(0, cpus)\n"
+        "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+        "print(_fork.processes(10**6, least))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(evidential.__path__[0])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 True\n1\n1\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_compute_run_whose_child_dies_gives_the_serial_report(
+    tmp_path, split_compute, monkeypatch
+):
+    # children that exit non-zero without a word: their runs are worked here
+    from evidential import cli
+
+    path = split_ledger(tmp_path, "csv", [(1000, "bad,20,x,0,0,1,1,1")])
+    argv = ["--input", str(path), "--format", "json"]
+    serial, _ = split_compute(argv, 1)
+    parent, build_rows = os.getpid(), cli.build_rows
+
+    def dying(studies, mode):
+        if os.getpid() != parent:
+            os._exit(3)
+        return build_rows(studies, mode)
+
+    monkeypatch.setattr(cli, "build_rows", dying)
+    assert split_compute(argv, 3) == (serial, 3)
+
+
 # --- threshold ------------------------------------------------------------------
 
 def test_threshold_command_published_values():
@@ -463,14 +630,13 @@ def test_simulate_command_refuses_a_non_finite_v():
 
 
 def test_simulate_command_split_across_processes_reports_the_serial_error(monkeypatch):
-    from evidential import simulate
+    from evidential import _fork
 
-    monkeypatch.setattr(simulate, "_processes", lambda chunks: 2)
+    monkeypatch.setattr(_fork, "processes", lambda units, least: 2)
     code, out, err = run(["simulate", "--n", "20", "--sigma", "1e300,1,1",
                           "--reps", "12289", "--seed", "1"])
     assert (code, out, err) == (2, "", "error: study 'sim': sds must be finite\n")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 SEED_42 = ["simulate", "--n", "20", "--sigma", "1,1,1", "--v", "2", "--reps", "100000",
@@ -511,9 +677,9 @@ def test_simulate_without_a_descriptor_for_a_pipe_runs_serially():
     # serial run does without: its run is counted here, as a failed fork's is
     code = (
         "import contextlib, os, resource, signal, sys  # signal: as a split run does\n"
-        "from evidential import cli, simulate\n"
+        "from evidential import _fork, cli, simulate\n"
         "simulate.null_exceedance(20, (1, 1, 1), 2.0, 1000, 0)  # loads what a run needs\n"
-        "simulate._processes = lambda chunks: 2\n"
+        "_fork.processes = lambda units, least: 2\n"
         "open_fds = len(os.listdir('/proc/self/fd')) - 1  # less listdir's own\n"
         "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
         "resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds, hard))\n"
@@ -530,18 +696,12 @@ def test_simulate_without_a_descriptor_for_a_pipe_runs_serially():
     assert proc.stdout.splitlines() == readme_seed_42_lines()
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
-    reason="reads a process's children in /proc; forks only with 2+ CPUs",
-)
-@pytest.mark.parametrize("target", ["caller", "group"])
-def test_ctrl_c_leaves_no_simulate_process(target):
+def interrupt_once_forked(argv, target):
     # SIGINT to the caller alone, or to its whole group as a terminal sends
     # it, as soon as a child exists (even before fork returns in the
     # caller): no child may outlive the command, and none may finish its
     # run (seconds of work) before the command ends
-    proc = cold(["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "10000000"],
-                start_new_session=True)
+    proc = cold(argv, start_new_session=True)
     children = f"/proc/{proc.pid}/task/{proc.pid}/children"
     try:
         deadline = time.monotonic() + 60
@@ -570,6 +730,28 @@ def test_ctrl_c_leaves_no_simulate_process(target):
             left = False
     assert (proc.returncode, err) == (130, "error: interrupted\n")
     assert not left
+
+
+FORKS = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="reads a process's children in /proc; forks only with 2+ CPUs",
+)
+
+
+@FORKS
+@pytest.mark.parametrize("target", ["caller", "group"])
+def test_ctrl_c_leaves_no_simulate_process(target):
+    interrupt_once_forked(
+        ["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "10000000"], target
+    )
+
+
+@FORKS
+@pytest.mark.parametrize("target", ["caller", "group"])
+def test_ctrl_c_leaves_no_compute_process(tmp_path, target):
+    # each of two processes evaluates 10 000 studies, for about 0.4 s
+    path = split_ledger(tmp_path, "csv", count=20_000)
+    interrupt_once_forked(["compute", "--input", str(path), "--mode", "exact"], target)
 
 
 def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, suspect_csv):

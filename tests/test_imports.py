@@ -126,8 +126,9 @@ def test_simulate_starts_no_blas_pool_and_restores_the_environment(loader, threa
     proc = _run(
         "import os, sys\n"
         f"{LOADERS[loader]}\n"
-        "from evidential.simulate import _processes\n"
-        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')), _processes(24),"
+        "from evidential import _fork, simulate\n"
+        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')),"
+        " _fork.processes(24, simulate._PROCESS_CHUNKS),"
         " os.environ.get('OPENBLAS_NUM_THREADS'))",
         env=env,
     )

@@ -8,6 +8,7 @@ from evidential.ledger import (
     LedgerError,
     StudyLedger,
     StudySummary,
+    load_ledger,
     parse_ledger,
     parse_ledger_lenient,
     study_warnings,
@@ -227,6 +228,8 @@ def test_validate_examples():
         (20, (1, 2, 3), (1.0, -0.5, 1.0), "sds must be positive"),
         (20, (1, 2), (1, 1, 1), "means must have exactly three entries"),
         (float("nan"), (1, 2, 3), (1, 1, 1), "n must be finite"),
+        (20, (1, float("inf"), 3), (1, 1, 1), "means must be finite"),
+        (20, (1, 2, 3), (1, 1), "sds must have exactly three entries"),
     ):
         with pytest.raises(LedgerError, match=re.escape(violation)):
             StudySummary("x", n, means, sds)
@@ -307,6 +310,21 @@ def test_json_honours_its_source():
     assert parse_ledger(json.dumps(doc), source="file.json").source == "committee table 2"
     del doc["source"]
     assert parse_ledger(json.dumps(doc), source="file.json").source == "file.json"
+
+
+def test_load_ledger_reads_a_file_as_parse_ledger_reads_its_text(tmp_path):
+    studies = (GOOD, ALSO_GOOD)
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"ledger.{fmt}"
+        path.write_text(render(fmt, studies), encoding="utf-8")
+        loaded = load_ledger(path)
+        parsed = parse_ledger(render(fmt, studies), source=str(path))
+        assert (loaded.studies, loaded.source) == (parsed.studies, parsed.source)
+        assert loaded.studies == studies
+        path.write_text(render(fmt, studies, [(1, "n", "-1")]), encoding="utf-8")
+        with pytest.raises(LedgerError, match="n must be positive") as exc:
+            load_ledger(path)
+        assert exc.value.row == (3 if fmt == "csv" else None), fmt
 
 
 def test_lenient_parse_keeps_valid_rows():

@@ -357,7 +357,7 @@ def test_null_exceedance_decides_almost_every_replication_in_numpy(monkeypatch, 
     from evidential import simulate
 
     # one process, so that every engine call is made where it is counted
-    monkeypatch.setattr(simulate, "_processes", lambda chunks: 1)
+    processes(monkeypatch, 1)
     calls = count_engine_calls(monkeypatch)
     reps = 4 * simulate._BLOCK + 1
     null_exceedance(n=n, sigma=sigma, v_threshold=2.0, reps=reps, seed=42)
@@ -375,7 +375,7 @@ def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
         for rep in range(4097)
     ]
     # one process, so that every engine call is made where it is counted
-    monkeypatch.setattr(simulate, "_processes", lambda chunks: 1)
+    processes(monkeypatch, 1)
     calls = count_engine_calls(monkeypatch)
     monkeypatch.setattr(simulate, "_LOG_TOL", math.inf)
     # 4097 replications are a full chunk of 16 blocks and a chunk of one
@@ -392,9 +392,9 @@ def test_null_exceedance_band_path_equals_the_per_replication_loop(monkeypatch):
 
 def processes(monkeypatch, count):
     # forces the number of processes, whatever the threads and CPUs
-    from evidential import simulate
+    from evidential import _fork
 
-    monkeypatch.setattr(simulate, "_processes", lambda chunks: count)
+    monkeypatch.setattr(_fork, "processes", lambda units, least: count)
 
 
 def assert_no_child_left():
@@ -403,17 +403,17 @@ def assert_no_child_left():
 
 
 def test_runs_are_contiguous_whole_chunks_balanced_by_replications():
-    from evidential import simulate
+    from evidential import _fork
 
-    assert simulate._runs(100_000, 4096, 2) == [(0, 49152), (49152, 100_000)]
-    assert simulate._runs(12289, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 12289)]
+    assert _fork.runs(100_000, 4096, 2) == [(0, 49152), (49152, 100_000)]
+    assert _fork.runs(12289, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 12289)]
     # never more runs than chunks, and never an empty one
-    assert simulate._runs(4097, 4096, 3) == [(0, 4096), (4096, 4097)]
-    assert simulate._runs(8193, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 8193)]
-    assert simulate._runs(1000, 4096, 2) == [(0, 1000)]
+    assert _fork.runs(4097, 4096, 3) == [(0, 4096), (4096, 4097)]
+    assert _fork.runs(8193, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 8193)]
+    assert _fork.runs(1000, 4096, 2) == [(0, 1000)]
     for reps in (1000, 4096, 4097, 12289, 100_000):
         for count in range(1, 8):
-            runs = simulate._runs(reps, 3808, count)
+            runs = _fork.runs(reps, 3808, count)
             assert runs[0][0] == 0 and runs[-1][1] == reps
             assert all(start % 3808 == 0 and start < stop for start, stop in runs)
             assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))

@@ -1,13 +1,13 @@
 """Contiguous runs of work, one per CPU this process may run on.
 
-:func:`forked_map` works the first run here and each other run in a child
-forked from this process, which sends its result through a pipe as
-``marshal`` data and leaves by ``os._exit``.  The results are those of
-working every run here, in order: a run whose pipe or child could not be
-made, or whose child fails or sends nothing, is worked here again, which
-raises the error a serial run raises, and an error here kills and reaps
-the children before it propagates.  Standard library only; ``signal`` is
-imported only where a run is forked.
+:func:`forked_map` cuts the work into runs, works the first here and
+each other run in a child forked from this process, which sends its
+result through a pipe as ``marshal`` data and leaves by ``os._exit``.
+The results are those of working every run here, in order: a run whose
+pipe or child could not be made, or whose child fails or sends nothing,
+is worked here again, which raises the error a serial run raises, and an
+error here kills and reaps the children before it propagates.  Standard
+library only; ``signal`` is imported only where a run is forked.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ def runs(count, chunk, processes):
     return list(zip(starts, starts[1:] + [count]))
 
 
-def forked_map(work, runs):
-    """``[work(start, stop) for start, stop in runs]`` as ``marshal`` data
-    reads back, every run after the first in a forked child.  Every child
-    has been reaped when this returns or raises."""
-    if len(runs) < 2:
-        return [work(*run) for run in runs]
+def forked_map(work, count, chunk, least):
+    """``[work(start, stop) for start, stop in spans]`` as ``marshal`` data
+    reads back, every span after the first worked in a forked child: the
+    :func:`runs` of *count* units in chunks of *chunk*, one per process of
+    at least *least* chunks.  No child outlives its return or raise."""
+    spans = runs(count, chunk, processes(count // chunk, least))
+    if len(spans) < 2:
+        return [work(*run) for run in spans]
     import signal  # here, so that loading the command line never loads it
 
     children = []  # (pid, read end of its pipe, run), None for what was not made
@@ -60,7 +62,7 @@ def forked_map(work, runs):
         # a Ctrl-C waits until each new child is on the list, to be killed
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for run in runs[1:]:
+            for run in spans[1:]:
                 pid = read = None
                 try:
                     read, write = os.pipe()
@@ -82,7 +84,7 @@ def forked_map(work, runs):
                     os.close(write)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results = [work(*runs[0])]
+        results = [work(*spans[0])]
         while children:
             pid, read, run = children[0]
             sent = []

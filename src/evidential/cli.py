@@ -110,7 +110,7 @@ def _table_rows(rows):
     return body, notes
 
 
-def _render_table(runs, values, combined, tail_v, tail_fraction) -> str:
+def _render_table(runs, studies, combined, tail_v, tail_fraction) -> str:
     header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [cells for run_body, _ in runs for cells in run_body]
     widths = [max(len(h), *(len(b[i]) for b in body)) for i, h in enumerate(header)]
@@ -122,11 +122,8 @@ def _render_table(runs, values, combined, tail_v, tail_fraction) -> str:
     post = _interval(combined.posterior_odds_lower, combined.posterior_odds_upper)
     lines.append(f"product V: {prod}")
     lines.append(f"posterior odds (prior {combined.prior_odds:g}): {post}")
-    count = sum(1 for v in values if v.lower >= tail_v)
-    lines.append(
-        f"empirical share with V >= {tail_v:g}: {count}/{len(values)} "
-        f"= {tail_fraction:.4f}"
-    )
+    count = round(tail_fraction * studies)  # the count it was divided from
+    lines.append(f"empirical share with V >= {tail_v:g}: {count}/{studies} = {tail_fraction:.4f}")
     notes = [line for _, run_notes in runs for line in run_notes]
     if notes:
         lines.append("notes:")
@@ -191,9 +188,9 @@ _PROCESS_ROWS = 200
 
 
 def cmd_compute(args) -> tuple[int, str]:
-    """Evaluate a ledger; one of 2 * _PROCESS_ROWS rows or more with no id
-    repeated is split into contiguous runs, one per CPU (:mod:`_fork`),
-    and its report is the same bytes as one run's."""
+    """Evaluate a ledger; one of 2 * _PROCESS_ROWS rows or more that
+    :func:`ledger.may_split` is split into contiguous runs, one per CPU
+    (:mod:`_fork`), and its report is the same bytes as one run's."""
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
@@ -215,10 +212,9 @@ def cmd_compute(args) -> tuple[int, str]:
         values = [(r.value.lower, r.value.upper, r.value.case.value) for r in report]
         return errors, values, render(report), None
 
-    # a run's check for repeated ids is the whole ledger's where none repeats
-    ids = [ledger._id(cells[0]) for *_, cells in rows if type(cells) is list]
-    processes = _fork.processes(len(rows), _PROCESS_ROWS) if len(set(ids)) == len(ids) else 1
-    results = _fork.forked_map(run, _fork.runs(len(rows), 1, processes))
+    # a ledger that may not be split is one chunk, so one run
+    chunk = 1 if ledger.may_split(rows) else len(rows)
+    results = _fork.forked_map(run, len(rows), chunk, _PROCESS_ROWS)
     errors = [e for result in results for e in result[0]]
     for e in errors:
         sys.stderr.write(f"error: {e}\n")
@@ -228,8 +224,9 @@ def cmd_compute(args) -> tuple[int, str]:
     failure = next((result[3] for result in results if result[3] is not None), None)
     if failure is not None:  # a failed run has studies, so this may come first
         raise ArithmeticError(failure)
-    case = {c.value: c for c in engine.Case}
-    values = [engine.EvidentialValue(lo, hi, case[c], mode) for r in results for lo, hi, c in r[1]]
+    values = [
+        engine.EvidentialValue(lo, hi, engine.Case(c), mode) for r in results for lo, hi, c in r[1]
+    ]
     if not values:
         sys.stderr.write("error: no studies\n")
         return EXIT_INPUT, ""
@@ -240,7 +237,7 @@ def cmd_compute(args) -> tuple[int, str]:
     if args.format == "json":
         report = _render_json(renders, mode, combined, tail_v, tail, source, errors)
     else:
-        report = _render_table(renders, values, combined, tail_v, tail)
+        report = _render_table(renders, len(values), combined, tail_v, tail)
     return EXIT_INPUT if errors else EXIT_OK, report
 
 

@@ -25,13 +25,12 @@ The regimes are named after where r falls:
 * ``below``  (r < q, so s = q): the density is decreasing in the variance
   on the achievable interval, so the supremum sits at the variance floor.
 
-In ``paper`` mode the floor is the computable proxy
-:func:`~evidential.geometry.paper_lower_bound_sq`, which is only an upper
-bound for the true floor, so the below-regime yields an interval
-[value at proxy floor, unconstrained maximum at ``s = min(1, r)``].  In
-``exact`` mode the floor is the closed-form infimum
-:func:`~evidential.geometry.exact_infimum_sq` and the below-regime
-collapses to a point.
+Both floors come from :func:`~evidential.geometry.variance_profile`.  In
+``paper`` mode the floor is the computable proxy, only an upper bound for
+the true floor, so the below-regime yields an interval [value at proxy
+floor, unconstrained maximum at ``s = min(1, r)``].  In ``exact`` mode
+the floor is the closed-form infimum over the valid correlation region
+and the below-regime collapses to a point.
 V is never below 1: this screen produces no exculpatory evidence.
 """
 

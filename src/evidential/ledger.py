@@ -272,6 +272,12 @@ def parse_rows(rows):
     return studies, errors
 
 
+def may_split(rows) -> bool:
+    """Whether runs of *rows* parse alone as in the whole: no id repeats."""
+    ids = [_id(cells[0]) for *_, cells in rows if type(cells) is list]
+    return len(set(ids)) == len(ids)
+
+
 def parse_ledger_lenient(text: str, source: str = "<string>"):
     """``(ledger, errors)`` of a ledger document (CSV dialect or JSON
     mapping) read by :func:`document_rows` and :func:`parse_rows`: rows

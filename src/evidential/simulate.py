@@ -30,15 +30,14 @@ and rows with a zero paper floor are decided by
 :func:`~evidential.engine.evidential_value`, so the estimate is the
 per-replication loop's, bit for bit.
 
-The chunks are split into contiguous runs of whole chunks, one per CPU
-this process may run on but each of at least ``_PROCESS_CHUNKS`` whole
-chunks, by :mod:`evidential._fork`: the first run is counted here, each
-other run in a child forked after numpy, the generator and the buffers
-exist.  The estimate is a sum of per-replication integer decisions, each
-drawn from its own stream, so it is the same however the runs are split,
-and an error is the one a serial run raises.  The single OpenBLAS thread
-this module loads numpy with, for every caller, keeps this process at the
-one OS thread a fork needs.
+:func:`evidential._fork.forked_map` cuts the chunks into contiguous runs
+of at least ``_PROCESS_CHUNKS`` whole chunks, one per CPU: the first run
+is counted here, each other run in a child forked once numpy (with its
+one OpenBLAS thread, so that this process runs the one OS thread a fork
+needs), the generator and the buffers exist.  The estimate is a sum of
+per-replication integer decisions, each drawn from its own stream, so it
+is the same however the runs are split, and an error is the one a serial
+run raises.
 """
 
 from __future__ import annotations
@@ -271,26 +270,21 @@ def _set_state(bits, words):
     bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
 
 
-def _state_view(bits):
-    """PCG64 *bits*' own state words as a writable uint64 array, valid while
-    *bits* lives, or None unless four distinct words set through the dict
-    read back in the order of :func:`_pcg64_states`' rows, as where the
-    compiler has ``__uint128_t``.  The dict set leaves ``has_uint32`` at 0,
-    which ``standard_normal`` never sets, so the words are all it reads.
-    """
+def _state_setter(bits):
+    """Set PCG64 *bits* to a row of :func:`_pcg64_states`: straight into a
+    uint64 view of its state words where four distinct words set through
+    the dict read back there in the order of the rows (as where the
+    compiler has ``__uint128_t``), else through the dict.  The dict set
+    leaves ``has_uint32`` at 0, which ``standard_normal`` never sets, so
+    the words are all it reads."""
     import ctypes  # here, so that loading the command line never loads it
     # numpy's pcg64_state begins with a pointer to the state and increment
     address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
     view = _numpy().ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
     _set_state(bits, (1, 2, 3, 5))
-    return view if view.tolist() == [1, 2, 3, 5] else None
-
-
-def _state_setter(bits):
-    """Set PCG64 *bits* to a row of :func:`_pcg64_states`: straight into its
-    memory where :func:`_state_view` finds it, else through the dict."""
-    view = _state_view(bits)
-    return partial(_set_state, bits) if view is None else partial(view.__setitem__, ...)
+    if view.tolist() == [1, 2, 3, 5]:
+        return partial(view.__setitem__, ...)
+    return partial(_set_state, bits)
 
 
 def _standard_normals(out, words, set_state, normal):
@@ -406,7 +400,6 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
             total += _count_exceeding(means[: len(words)], sds[: len(words)], params.n, v_threshold)
         return total
 
-    processes = _fork.processes(reps // len(means), _PROCESS_CHUNKS)
-    count = sum(_fork.forked_map(count_run, _fork.runs(reps, len(means), processes)))
+    count = sum(_fork.forked_map(count_run, reps, len(means), _PROCESS_CHUNKS))
     p = count / reps
     return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

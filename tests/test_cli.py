@@ -137,6 +137,16 @@ def test_compute_footer_reports_products_and_tail(reference_csv):
     assert "not an integer" in out
 
 
+def test_compute_footer_prints_the_count_behind_the_share(tmp_path):
+    # one unbounded V among 49: 1 / 49 * 49 is just below 1 in floats
+    rows = b"a,20,1,2,3,1,1,1\n" + b"".join(b"b%d,20,10,0,0,1,1,1\n" % k for k in range(48))
+    path = tmp_path / "share.csv"
+    path.write_bytes(HEADER_LINE + rows)
+    code, out, _ = run(["compute", "--input", str(path)])
+    assert code == 0
+    assert "empirical share with V >= 2: 1/49 = 0.0204\n" in out
+
+
 def test_compute_footer_collapses_like_the_rows(tmp_path):
     # a below-regime interval whose ends agree at 2 decimals prints one
     # number in its row, and so do the product and the posterior odds
@@ -186,6 +196,14 @@ def test_compute_footer_renders_products_beyond_default_decimal_precision(
     assert 1e26 <= product < INF
     line = next(l for l in out.splitlines() if l.startswith("product V: "))
     assert float(line.removeprefix("product V: ")) == pytest.approx(product, rel=1e-12)
+
+
+def test_compute_json_report_is_the_golden_bytes(monkeypatch):
+    # the one-line report of the bundled suspect corpus, its key order too
+    monkeypatch.chdir(Path(evidential.__path__[0]) / "data")
+    argv = ["compute", "--input", "suspect_studies.csv", "--mode", "exact", "--format", "json"]
+    golden = Path(__file__).parent / "data" / "suspect_exact_report.json"
+    assert run(argv) == (0, golden.read_text(encoding="utf-8"), "")
 
 
 def test_compute_json_round_trips(suspect_csv, suspect):
@@ -377,13 +395,14 @@ def split_compute(monkeypatch):
     from evidential import _fork
 
     made = []
-    forked_map = _fork.forked_map
+    runs = _fork.runs
 
-    def counted(work, runs):
-        made.append(len(runs))
-        return forked_map(work, runs)
+    def counted(*args):
+        cut = runs(*args)
+        made.append(len(cut))
+        return cut
 
-    monkeypatch.setattr(_fork, "forked_map", counted)
+    monkeypatch.setattr(_fork, "runs", counted)
 
     def compute(argv, processes):
         monkeypatch.setattr(_fork, "processes", lambda units, least: processes)
@@ -556,6 +575,40 @@ def test_simulate_command_rejects_a_negative_seed():
     assert (code, out, err) == (2, "", "error: seed must be a non-negative integer\n")
 
 
+def test_simulate_command_needs_three_sigmas():
+    for sigma in ("1,1", "1,1,1,1"):
+        code, out, err = run(["simulate", "--n", "20", "--sigma", sigma, "--reps", "2000"])
+        message = "error: --sigma needs exactly three comma-separated values\n"
+        assert (code, out, err) == (2, "", message), sigma
+
+
+def test_simulate_defaults_to_v_2_and_seed_0():
+    argv = ["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "1000"]
+    code, out, err = run(argv)
+    assert (code, out, err) == run([*argv, "--v", "2", "--seed", "0"])
+    assert (code, err) == (0, "") and out.startswith("reps: 1000  seed: 0  v: 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        ([], "command"),
+        (["threshold"], "--v"),
+        (["simulate", "--sigma", "1,1,1", "--reps", "1000"], "--n"),
+        (["simulate", "--n", "20", "--reps", "1000"], "--sigma"),
+        (["simulate", "--n", "20", "--sigma", "1,1,1"], "--reps"),
+    ],
+)
+def test_a_missing_command_or_option_is_a_usage_error(argv, missing, capsys):
+    # argparse's own exit 2 and usage, never a traceback from the command
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: evidential")
+    assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
 def test_simulate_command_rejects_bad_sigma():
     code, _, err = run(["simulate", "--n", "20", "--sigma", "1,1",
                         "--reps", "2000", "--seed", "1"])
@@ -653,11 +706,22 @@ def cold(argv, env=(), **kwargs):
     return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env, **kwargs)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_output(argv):
+    """The ``# -> `` lines the README shows under ``evidential`` *argv*."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    at = lines.index("evidential " + " ".join(argv)) + 1
+    shown = []
+    while at < len(lines) and lines[at].startswith("# -> "):
+        shown.append(lines[at].removeprefix("# -> "))
+        at += 1
+    return shown
+
+
 def readme_seed_42_lines():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = readme.splitlines()
-    at = lines.index("evidential " + " ".join(SEED_42))
-    expected = [line.removeprefix("# -> ") for line in lines[at + 1 : at + 3]]
+    expected = readme_output(SEED_42)
     assert expected[1].startswith("P(V >= 2) = 0.2473 "), expected
     return expected
 
@@ -666,6 +730,25 @@ def test_cold_simulate_prints_the_readme_lines():
     # the command's own process rule, forking where it may
     out, err = cold(SEED_42).communicate(timeout=120)
     assert (out.splitlines(), err) == (readme_seed_42_lines(), "")
+
+
+def test_cold_threshold_prints_the_readme_line():
+    argv = ["threshold", "--v", "2"]
+    out, err = cold(argv).communicate(timeout=60)
+    assert (out.splitlines(), err) == (readme_output(argv), "")
+    assert out == "0.3191, 0.2504\n"
+
+
+def test_the_readme_library_example_runs_as_shown():
+    # the python block under "## Library", in a fresh interpreter
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(evidential.__path__[0])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, ""), code
+    assert done.stdout.strip()
 
 
 @pytest.mark.skipif(

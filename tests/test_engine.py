@@ -269,6 +269,12 @@ def test_reference_corpus_empirical_tail(reference):
         empirical_tail_fraction([], 2.0)
 
 
+def test_empirical_tail_counts_a_value_at_v():
+    # V >= v by its lower end: a tie counts, an interval reaching v does not
+    values = [_point(2.0), _point(1.5), EvidentialValue(1.9, 2.5, Case.BELOW, Mode.PAPER)]
+    assert empirical_tail_fraction(values, 2.0) == 1 / 3
+
+
 # --- shape of the value function -------------------------------------------
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])

@@ -235,6 +235,13 @@ def test_validate_examples():
             StudySummary("x", n, means, sds)
 
 
+def test_any_positive_n_is_valid_and_zero_is_not():
+    for n in (1, 0.5):
+        assert validate(StudySummary("x", n, (1, 2, 3), (1, 1, 1))) == []
+    with pytest.raises(LedgerError, match="^study 'x': n must be positive$"):
+        StudySummary("x", 0, (1, 2, 3), (1, 1, 1))
+
+
 def test_replace_and_make_validate_like_the_constructor():
     assert GOOD._replace(n=30).n == 30.0
     assert StudySummary._make(("m", 20, [1, 2, 3], [1, 1, 1])).means == (1.0, 2.0, 3.0)
@@ -261,6 +268,12 @@ def test_warnings_flag_noninteger_and_tiny_n():
     assert any("< 5" in w for w in study_warnings(s))
     s = StudySummary("w", 20, (1, 2, 3), (1, 1, 1))
     assert study_warnings(s) == []
+
+
+def test_the_small_n_note_starts_below_five():
+    assert study_warnings(StudySummary("w", 5, (1, 2, 3), (1, 1, 1))) == []
+    notes = study_warnings(StudySummary("w", 4.9, (1, 2, 3), (1, 1, 1)))
+    assert "n = 4.9 < 5: normal approximation is unreliable" in notes
 
 
 def test_serialize_parse_round_trip(suspect, reference):

@@ -4,6 +4,7 @@ import os
 import platform
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -64,6 +65,9 @@ def test_copy_probabilities_reject_mixed_zero_and_negative():
 def test_model_params_validation():
     with pytest.raises(ParameterError, match="sigma must be positive"):
         params(sigma=(1, -1, 1))
+    for mu, sigma in (((0, 0, 0), (1, 1)), ((0, 0), (1, 1, 1))):
+        with pytest.raises(ParameterError, match="^mu and sigma must have exactly three entries$"):
+            params(mu=mu, sigma=sigma)
     with pytest.raises(ParameterError, match="positive integer"):
         params(n=0)
     with pytest.raises(ParameterError, match="positive integer"):
@@ -178,6 +182,12 @@ def test_simulate_study_refuses_overflowing_sds_without_a_numpy_warning():
 def test_simulate_study_needs_two_observations():
     with pytest.raises(ParameterError, match="n >= 2"):
         simulate_study(params(n=1), seed=0)
+    # two are enough: the stream contract's rows 1-3, summarized
+    data = np.random.default_rng(0).standard_normal((4, 2))[1:]
+    study = simulate_study(params(n=2), seed=0)
+    assert study.n == 2.0
+    assert study.means == tuple(data.mean(axis=1).tolist())
+    assert study.sds == tuple(data.std(axis=1, ddof=1).tolist())
 
 
 def test_zero_means_give_centered_contrast():
@@ -293,11 +303,11 @@ def test_block_seeding_draws_the_default_rng_streams(monkeypatch):
             for i, row in enumerate(expected):
                 np.random.default_rng((seed, first + i)).standard_normal(out=row)
             for direct in (True, False):
-                with monkeypatch.context() as patch:
-                    if not direct:
-                        patch.setattr(simulate, "_state_view", lambda bits: None)
-                    bits = np.random.PCG64()
-                    set_state = simulate._state_setter(bits)
+                bits = np.random.PCG64()
+                # the setter the layout probe picks, and its dict fallback
+                set_state = (
+                    simulate._state_setter(bits) if direct else partial(simulate._set_state, bits)
+                )
                 normal = np.random.Generator(bits).standard_normal
                 out[...] = np.nan
                 simulate._standard_normals(out, words, set_state, normal)
@@ -316,17 +326,19 @@ def test_layout_probe_accepts_the_pcg64_state_words(monkeypatch):
     from evidential import simulate
 
     bits = np.random.PCG64()
-    view = simulate._state_view(bits)
-    assert view is not None
-    view[:] = simulate._pcg64_states(42, 7, 1)[0]
+    set_state = simulate._state_setter(bits)
+    assert set_state.func is not simulate._set_state
+    set_state(simulate._pcg64_states(42, 7, 1)[0])
     assert bits.state == np.random.default_rng((42, 7)).bit_generator.state
     # a state kept as (high, low) pairs, as numpy keeps it where the
     # compiler has no 128-bit integer, reads back out of order
     set_state = simulate._set_state
-    monkeypatch.setattr(
-        simulate, "_set_state", lambda bits, w: set_state(bits, (w[1], w[0], w[3], w[2]))
-    )
-    assert simulate._state_view(np.random.PCG64()) is None
+
+    def swapped(bits, w):
+        return set_state(bits, (w[1], w[0], w[3], w[2]))
+
+    monkeypatch.setattr(simulate, "_set_state", swapped)
+    assert simulate._state_setter(np.random.PCG64()).func is swapped
 
 
 def count_engine_calls(monkeypatch):

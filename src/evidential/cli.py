@@ -50,6 +50,8 @@ def _fmt_bound(x: float) -> str:
 def _interval(lower: float, upper: float) -> str:
     # ends that agree at the rendered precision collapse to a single number,
     # matching how published tables print such rows
+    if lower == upper:  # a point, as every exact value is: rendered once
+        return _fmt_bound(lower)
     lo, hi = _fmt_bound(lower), _fmt_bound(upper)
     return lo if lo == hi else f"{lo}–{hi}"
 
@@ -135,26 +137,30 @@ def _json_bound(x: float):
     return None if math.isinf(x) else x
 
 
+def _json_number(x: float) -> str:
+    # a float as the C encoder writes it, an infinite one as _json_bound's null
+    return "null" if math.isinf(x) else repr(x)
+
+
+#: one report row as json.dumps(..., sort_keys=True) writes its dict: the
+#: keys in sorted order, floats by repr, strings by the encoder's escaper
+#: (the case, one of three plain words, needs none)
+_JSON_ROW = (
+    '{"case": "%s", "id": %s, "means": [%r, %r, %r], "n": %r, "notes": [%s], '
+    '"sds": [%r, %r, %r], "v_lower": %s, "v_rendered": %s, "v_upper": %s, '
+    '"z_c": %s, "z_v": %s}'
+)
+
+
 def _json_rows(rows) -> str:
     """A run of report rows as the JSON list of a report's rows."""
-    return json.dumps(
-        [
-            {
-                "id": r.study.id,
-                "n": r.study.n,
-                "means": list(r.study.means),
-                "sds": list(r.study.sds),
-                "v_lower": _json_bound(r.value.lower),
-                "v_upper": _json_bound(r.value.upper),
-                "v_rendered": r.v_rendered,
-                "case": r.value.case.value,
-                "z_v": _json_bound(r.z_v),
-                "z_c": _json_bound(r.z_c),
-                "notes": list(r.notes),
-            }
-            for r in rows
-        ],
-        sort_keys=True,
+    esc, num = json.encoder.encode_basestring_ascii, _json_number
+    return "[%s]" % ", ".join(
+        _JSON_ROW
+        % (r.value.case.value, esc(r.study.id), *r.study.means, r.study.n,
+           ", ".join(map(esc, r.notes)), *r.study.sds, num(r.value.lower),
+           esc(r.v_rendered), num(r.value.upper), num(r.z_c), num(r.z_v))
+        for r in rows
     )
 
 
@@ -174,9 +180,9 @@ def _render_json(runs, mode, combined, tail_v, tail_fraction, source, errors) ->
         "empirical_tail": {"v": tail_v, "fraction": tail_fraction},
         "errors": errors,
     }
-    # one line through the C encoder; ``python -m json.tool`` pretty-prints
-    # it.  The runs' rows go in at the empty list: inside a JSON string
-    # every '"' is escaped, so that text can only be the key
+    # one line, which ``python -m json.tool`` pretty-prints: the frame by
+    # json.dumps, and at its empty list the runs' rows from _JSON_ROW.
+    # Inside a JSON string every '"' is escaped, so that text is the key
     head, _, tail = json.dumps(doc, sort_keys=True).partition('"rows": []')
     rows = ", ".join(text[1:-1] for text in runs if text != "[]")
     return f'{head}"rows": [{rows}]{tail}\n'

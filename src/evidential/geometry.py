@@ -55,7 +55,7 @@ def contrast(means) -> float:
     noise.  The sum is exact (:data:`_EXACT`), so means of very different
     magnitudes cannot cancel wrongly and their order does not matter.
     """
-    x1, x2, x3 = (Decimal(repr(float(x))) for x in means)
+    x1, x2, x3 = map(Decimal, map(repr, map(float, means)))
     return float(_EXACT.subtract(_EXACT.add(x1, x3), _EXACT.add(x2, x2)))
 
 

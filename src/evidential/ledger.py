@@ -93,11 +93,11 @@ def validate(study: StudySummary) -> list[str]:
         violations.append("n must be finite")
     elif study.n <= 0:
         violations.append("n must be positive")
-    if not all(math.isfinite(x) for x in study.means):
+    if not all(map(math.isfinite, study.means)):
         violations.append("means must be finite")
-    if not all(math.isfinite(s) for s in study.sds):
+    if not all(map(math.isfinite, study.sds)):
         violations.append("sds must be finite")
-    elif any(s <= 0 for s in study.sds):
+    elif study.sds and min(study.sds) <= 0:  # min() of no sds would raise
         violations.append("sds must be positive")
     return violations
 
@@ -112,7 +112,7 @@ def study_warnings(study: StudySummary) -> list[str]:
     return notes
 
 
-def _number(cell, quotient: bool):
+def _number(cell, quotient: bool = False):
     """A cell as a float, or None when it holds no number.
 
     A cell is text or a JSON number; bools and other JSON values hold no
@@ -237,8 +237,7 @@ def parse_rows(rows):
                 )
             )
             continue
-        values = [_id(cells[0])]
-        values += [_number(cell, name == "n") for name, cell in zip(COLUMNS[1:], cells[1:])]
+        values = [_id(cells[0]), _number(cells[1], True), *map(_number, cells[2:])]
         study_id = values[0]
         if None in values:
             errors += [
@@ -273,8 +272,9 @@ def parse_rows(rows):
 
 
 def may_split(rows) -> bool:
-    """Whether runs of *rows* parse alone as in the whole: no id repeats."""
-    ids = [_id(cells[0]) for *_, cells in rows if type(cells) is list]
+    """Whether runs of *rows* parse alone as in the whole: no id repeats.
+    An id cell that does not parse is a parse error, never a repeat."""
+    ids = list(filter(None, [_id(cells[0]) for *_, cells in rows if type(cells) is list]))
     return len(set(ids)) == len(ids)
 
 

@@ -9,13 +9,16 @@ shares code with the production closed form
 * :func:`brute_force_infimum_sq`, an exhaustive angle scan with zooming.
 
 :func:`conditional_null_tail` is the model reference for the Monte Carlo
-estimate of :func:`evidential.simulate.null_exceedance`.
+estimate of :func:`evidential.simulate.null_exceedance`, and
+:func:`json_rows_oracle` the reference for the rows of a JSON report: a dict
+per row through ``json.dumps``.
 
 The correlation body and its contrast sd, the plug-in density, the
 error-copying generator and the ledger writers are here too: the tests
 use them, and no command does.
 """
 
+import json
 import math
 from collections import namedtuple
 
@@ -456,3 +459,33 @@ def serialize_ledger(ledger) -> str:
         fields += [f"{x:.12g}" for x in s.sds]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+# --- JSON report rows --------------------------------------------------------
+
+
+def _json_bound(x):
+    return None if math.isinf(x) else x
+
+
+def json_rows_oracle(rows) -> str:
+    """Report rows as a JSON list, a dict per row through ``json.dumps``."""
+    return json.dumps(
+        [
+            {
+                "id": r.study.id,
+                "n": r.study.n,
+                "means": list(r.study.means),
+                "sds": list(r.study.sds),
+                "v_lower": _json_bound(r.value.lower),
+                "v_upper": _json_bound(r.value.upper),
+                "v_rendered": r.v_rendered,
+                "case": r.value.case.value,
+                "z_v": _json_bound(r.z_v),
+                "z_c": _json_bound(r.z_c),
+                "notes": list(r.notes),
+            }
+            for r in rows
+        ],
+        sort_keys=True,
+    )

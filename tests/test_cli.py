@@ -14,11 +14,17 @@ import numpy as np
 import pytest
 
 import evidential
-from evidential.cli import main, render_value
+from evidential.cli import _json_rows, build_rows, main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
 from evidential.ledger import StudyLedger, StudySummary
 
-from helpers import CorrelationTriple, ledger_to_mapping, random_study, serialize_ledger
+from helpers import (
+    CorrelationTriple,
+    json_rows_oracle,
+    ledger_to_mapping,
+    random_study,
+    serialize_ledger,
+)
 
 INF = math.inf
 HEADER_LINE = b"id,n,x1,x2,x3,s1,s2,s3\n"
@@ -204,6 +210,37 @@ def test_compute_json_report_is_the_golden_bytes(monkeypatch):
     argv = ["compute", "--input", "suspect_studies.csv", "--mode", "exact", "--format", "json"]
     golden = Path(__file__).parent / "data" / "suspect_exact_report.json"
     assert run(argv) == (0, golden.read_text(encoding="utf-8"), "")
+
+
+#: studies for the row template: ids that the escaper changes or that read as
+#: a number, both notes, unbounded ends, statistics beyond the float range,
+#: and -0.0, subnormal and huge numbers
+TEMPLATE_STUDIES = [
+    ('say "hi"', 20, (2.47, 3.04, 3.68), (1.21, 0.72, 0.68)),
+    ("back\\slash/tab\tnul\x00del\x7f", 20, (1, 2, 4), (1, 1, 1)),
+    ("größe–∞ \u2028", 20, (1, 2, 4), (1, 2, 3)),
+    ("astral \U0001f600 lone \ud800", 20, (1, 2, 4), (1, 2, 3)),
+    ("12345", 20, (1, 2, 4), (1, 2, 3)),
+    ("quotient", 141 / 6, (1, 2, 4), (1, 2, 3)),
+    ("small quotient", 4.5, (1, 2, 4), (1, 2, 3)),
+    ("unbounded", 20, (1, 2, 3), (1, 1, 1)),
+    ("huge z", 20, (1e300, -1e300, 1e300), (1e-300, 1e-300, 1e-300)),
+    ("signed zero", 20, (-0.0, 1, -0.0), (1, 2, 3)),
+    ("subnormal", 20, (5e-324, 0, 1), (5e-324, 1, 2)),
+    ("big", 1e300, (1e300, 2, -3), (1e300, 1, 1e300)),
+]
+
+
+@pytest.mark.parametrize("mode", ["paper", "exact"])
+def test_json_rows_are_the_bytes_of_json_dumps(mode, suspect, reference):
+    # the row template against a dict per row through json.dumps(sort_keys=True)
+    studies = [StudySummary(*fields) for fields in TEMPLATE_STUDIES]
+    rows = build_rows([*studies, *suspect, *reference], mode)
+    assert _json_rows(rows) == json_rows_oracle(rows)
+    assert _json_rows(rows[:1]) == json_rows_oracle(rows[:1]) and _json_rows([]) == "[]"
+    by_id = {r.study.id: r for r in rows}
+    assert len(by_id["small quotient"].notes) == 2 and by_id["unbounded"].value.upper == INF
+    assert by_id["huge z"].z_v == by_id["huge z"].z_c == INF
 
 
 def test_compute_json_round_trips(suspect_csv, suspect):
@@ -423,6 +460,8 @@ SPLIT_CASES = {
     # a JSON source that holds the text the rows are spliced in at
     "json": ("json", [], 'a "rows": [] source', [0, 0, 0, 0, 0]),
     "csv": ("csv", [], "split", [0, 0, 0, 0, 0]),
+    # blank ids are parse errors, not repeats: the ledger is still split
+    "blank_ids": ("csv", [(5, ",20,1,2,3,1,1,1"), (900, ",20,1,2,3,1,1,1")], "split", [2] * 5),
     # parse errors in each of the three runs
     "bad_rows": (
         "csv",

@@ -230,6 +230,9 @@ def test_validate_examples():
         (float("nan"), (1, 2, 3), (1, 1, 1), "n must be finite"),
         (20, (1, float("inf"), 3), (1, 1, 1), "means must be finite"),
         (20, (1, 2, 3), (1, 1), "sds must have exactly three entries"),
+        # no entries to check for finiteness or sign: the count is the error
+        (20, (), (1, 1, 1), "means must have exactly three entries"),
+        (20, (1, 2, 3), (), "sds must have exactly three entries"),
     ):
         with pytest.raises(LedgerError, match=re.escape(violation)):
             StudySummary("x", n, means, sds)

@@ -9,6 +9,8 @@ report and turns an exception into one ``error:`` line and its exit code.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -133,12 +135,8 @@ def _render_table(runs, studies, combined, tail_v, tail_fraction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_bound(x: float):
-    return None if math.isinf(x) else x
-
-
 def _json_number(x: float) -> str:
-    # a float as the C encoder writes it, an infinite one as _json_bound's null
+    # a float as the C encoder writes it, an infinite one as null
     return "null" if math.isinf(x) else repr(x)
 
 
@@ -153,13 +151,15 @@ _JSON_ROW = (
 
 
 def _json_rows(rows) -> str:
-    """A run of report rows as the JSON list of a report's rows."""
+    """A run of report rows as the JSON list of a report's rows; a point V
+    is put through repr once, for both its ends."""
     esc, num = json.encoder.encode_basestring_ascii, _json_number
     return "[%s]" % ", ".join(
         _JSON_ROW
         % (r.value.case.value, esc(r.study.id), *r.study.means, r.study.n,
-           ", ".join(map(esc, r.notes)), *r.study.sds, num(r.value.lower),
-           esc(r.v_rendered), num(r.value.upper), num(r.z_c), num(r.z_v))
+           ", ".join(map(esc, r.notes)), *r.study.sds, (lower := num(r.value.lower)),
+           esc(r.v_rendered), lower if r.value.upper == r.value.lower else num(r.value.upper),
+           num(r.z_c), num(r.z_v))
         for r in rows
     )
 
@@ -170,13 +170,7 @@ def _render_json(runs, mode, combined, tail_v, tail_fraction, source, errors) ->
         "source": source,
         "mode": mode.value,
         "rows": [],
-        "combined": {
-            "prior_odds": combined.prior_odds,
-            "product_lower": _json_bound(combined.product_lower),
-            "product_upper": _json_bound(combined.product_upper),
-            "posterior_odds_lower": _json_bound(combined.posterior_odds_lower),
-            "posterior_odds_upper": _json_bound(combined.posterior_odds_upper),
-        },
+        "combined": {key: None if math.isinf(x) else x for key, x in combined._asdict().items()},
         "empirical_tail": {"v": tail_v, "fraction": tail_fraction},
         "errors": errors,
     }
@@ -196,7 +190,8 @@ _PROCESS_ROWS = 200
 def cmd_compute(args) -> tuple[int, str]:
     """Evaluate a ledger; one of 2 * _PROCESS_ROWS rows or more that
     :func:`ledger.may_split` is split into contiguous runs, one per CPU
-    (:mod:`_fork`), and its report is the same bytes as one run's."""
+    (:mod:`_fork`), and its report is the same bytes as one run's.  A run
+    sends back its rendered rows and each V's ``(lower, upper)`` ends."""
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
@@ -207,15 +202,15 @@ def cmd_compute(args) -> tuple[int, str]:
     render = _json_rows if args.format == "json" else _table_rows
 
     def run(start, stop):
-        # rows start..stop-1 as marshal data: error texts, (lower, upper,
-        # case) values, rendered rows, and the first evaluation error's text
+        # rows start..stop-1 as marshal data: error texts, each V's (lower,
+        # upper) ends, rendered rows, and the first evaluation error's text
         studies, errors = ledger.parse_rows(rows[start:stop])
         errors = [str(e) for e in errors]
         try:
             report = build_rows(studies, mode)
         except ArithmeticError as exc:
             return errors, [], None, str(exc)
-        values = [(r.value.lower, r.value.upper, r.value.case.value) for r in report]
+        values = [(r.value.lower, r.value.upper) for r in report]
         return errors, values, render(report), None
 
     # a ledger that may not be split is one chunk, so one run
@@ -230,9 +225,7 @@ def cmd_compute(args) -> tuple[int, str]:
     failure = next((result[3] for result in results if result[3] is not None), None)
     if failure is not None:  # a failed run has studies, so this may come first
         raise ArithmeticError(failure)
-    values = [
-        engine.EvidentialValue(lo, hi, engine.Case(c), mode) for r in results for lo, hi, c in r[1]
-    ]
+    values = [ends for result in results for ends in result[1]]
     if not values:
         sys.stderr.write("error: no studies\n")
         return EXIT_INPUT, ""
@@ -311,8 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: whether main has registered gc.freeze with atexit: frozen at exit, no object
+#: is collected at shutdown, where nothing waits on a collection (README)
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
     """Run one command; the one place an exception becomes an exit code."""
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     try:
         args = build_parser().parse_args(argv)
         code, report = args.func(args)
@@ -322,7 +324,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             # Python's recipe: stdout to devnull, so the bytes still in its
             # buffer cannot fail again in the flush at exit (exit code 120)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(null := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.close(null)
             if not isinstance(exc, BrokenPipeError):  # a reader that left is no error
                 sys.stderr.write(f"error: cannot write output: {exc}\n")
             return EXIT_COMPUTE

@@ -120,8 +120,10 @@ def _number(cell, quotient: bool = False):
     rounded as int / int is, where *quotient* is set (the ``n`` column).
     """
     kind = type(cell)
+    if kind is float:  # a JSON ledger's number
+        return cell
     try:
-        if kind is float or kind is int:
+        if kind is int:
             return float(cell)
         if kind is str:
             if quotient and "/" in cell:

@@ -204,12 +204,28 @@ def test_compute_footer_renders_products_beyond_default_decimal_precision(
     assert float(line.removeprefix("product V: ")) == pytest.approx(product, rel=1e-12)
 
 
+def golden_report(monkeypatch, mode):
+    """The one-line JSON report of the bundled suspect corpus in *mode*, and
+    its golden bytes in tests/data."""
+    monkeypatch.chdir(Path(evidential.__path__[0]) / "data")
+    argv = ["compute", "--input", "suspect_studies.csv", "--mode", mode, "--format", "json"]
+    golden = Path(__file__).parent / "data" / f"suspect_{mode}_report.json"
+    return run(argv), (0, golden.read_text(encoding="utf-8"), "")
+
+
 def test_compute_json_report_is_the_golden_bytes(monkeypatch):
     # the one-line report of the bundled suspect corpus, its key order too
-    monkeypatch.chdir(Path(evidential.__path__[0]) / "data")
-    argv = ["compute", "--input", "suspect_studies.csv", "--mode", "exact", "--format", "json"]
-    golden = Path(__file__).parent / "data" / "suspect_exact_report.json"
-    assert run(argv) == (0, golden.read_text(encoding="utf-8"), "")
+    report, golden = golden_report(monkeypatch, "exact")
+    assert report == golden
+
+
+def test_compute_paper_json_report_is_the_golden_bytes(monkeypatch):
+    # 4 interval rows, one with an unbounded (null) upper end: each end's own text
+    report, golden = golden_report(monkeypatch, "paper")
+    assert report == golden
+    rows = json.loads(golden[1])["rows"]
+    assert sum(r["v_lower"] != r["v_upper"] for r in rows) == 4
+    assert [r["id"] for r in rows if r["v_upper"] is None] == ["8"]
 
 
 #: studies for the row template: ids that the escaper changes or that read as
@@ -735,14 +751,16 @@ SEED_42 = ["simulate", "--n", "20", "--sigma", "1,1,1", "--v", "2", "--reps", "1
            "--seed", "42"]
 
 
-def cold(argv, env=(), **kwargs):
+def cold(argv, env=(), flags=(), **kwargs):
     # a fresh `python -m evidential.cli` as a shell starts it: its OpenBLAS
-    # thread count its own, its stdout block-buffered; *env* adds variables
+    # thread count its own, its stdout block-buffered; *env* adds variables,
+    # *flags* interpreter options
     drop = ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")
     env = {**{k: v for k, v in os.environ.items() if k not in drop}, **dict(env)}
     env["PYTHONPATH"] = os.path.dirname(evidential.__path__[0])
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
-    return subprocess.Popen([sys.executable, "-m", "evidential.cli", *argv], env=env, **kwargs)
+    command = [sys.executable, *flags, "-m", "evidential.cli", *argv]
+    return subprocess.Popen(command, env=env, **kwargs)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -933,6 +951,61 @@ def test_a_closed_pipe_exits_1_without_a_message(suspect_csv):
         os.close(write)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_a_failed_write_leaves_no_descriptor_open(monkeypatch):
+    # stdout goes to devnull after a failed write; that descriptor is closed
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before, codes = open_descriptors(), []
+    for _ in range(5):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        with open(write, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            codes.append(main(["threshold", "--v", "2"]))
+    monkeypatch.undo()
+    assert (codes, open_descriptors()) == ([1] * 5, before)
+
+
+# --- exit --------------------------------------------------------------------------
+
+def test_main_freezes_the_objects_at_exit_with_one_handler():
+    # in a fresh interpreter: two calls register one handler, which freezes
+    code = (
+        "import atexit, contextlib, gc, io\n"
+        "from evidential.cli import main\n"
+        "before = atexit._ncallbacks()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = main(['threshold', '--v', '2']), main(['threshold', '--v', '2'])\n"
+        "print(codes, atexit._ncallbacks() - before, gc.get_freeze_count())\n"
+        "atexit._run_exitfuncs()\n"
+        "print(gc.get_freeze_count() > 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(evidential.__path__[0])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(0, 0) 1 0\nTrue\n", "")
+
+
+DATA = Path(evidential.__path__[0]) / "data"
+DEV_MODE_CASES = [
+    *(["compute", "--input", str(DATA / name), "--format", fmt]
+      for name in ("suspect_studies.csv", "reference_studies.csv") for fmt in ("table", "json")),
+    ["threshold", "--v", "2"],
+    ["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "2000", "--seed", "42"],
+]
+
+
+@pytest.mark.parametrize("argv", DEV_MODE_CASES, ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_a_cold_run_in_dev_mode_leaves_no_resource_for_a_collection(argv):
+    # -X dev warns of a file or socket left to the collector; -W error makes
+    # that, or any other warning, an error on stderr
+    out, err = cold(argv, flags=("-X", "dev", "-W", "error")).communicate(timeout=120)
+    assert err == ""
+    assert run(argv) == (0, out, "")
 
 
 # --- entry point -------------------------------------------------------------------

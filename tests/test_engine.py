@@ -275,6 +275,27 @@ def test_empirical_tail_counts_a_value_at_v():
     assert empirical_tail_fraction(values, 2.0) == 1 / 3
 
 
+def _ends(values):
+    # the (lower, upper) pairs a compute run sends back for its values
+    return [(ev.lower, ev.upper) for ev in values]
+
+
+def test_combine_and_tail_take_values_or_their_ends(suspect):
+    # an unbounded upper end (study 8 in paper mode) and a tie at the tail's v
+    tie = [_point(2.0), _point(1.5), EvidentialValue(1.9, 2.5, Case.BELOW, Mode.PAPER)]
+    paper = [evidential_value(s, Mode.PAPER) for s in suspect]
+    for values in (tie, paper, [*paper, *tie]):
+        for prior_odds in (1.0, 0.25):
+            assert combine(_ends(values), prior_odds) == combine(values, prior_odds)
+        assert empirical_tail_fraction(_ends(values), 2.0) == empirical_tail_fraction(values, 2.0)
+    assert combine(_ends(paper)).product_upper == INF
+    assert empirical_tail_fraction(_ends(tie), 2.0) == 1 / 3
+    # a product of finite ends beyond the float range is refused either way
+    for values in ([_point(3.3e149)] * 3, _ends([_point(3.3e149)] * 3)):
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            combine(values)
+
+
 # --- shape of the value function -------------------------------------------
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])

@@ -31,57 +31,57 @@ _WIDE = Context(prec=320)
 _CENT = Decimal("0.01")
 
 
-def _round2(x: float) -> str:
-    # table values round half-up to 2 decimals, like the published tables
-    return str(Decimal(repr(x)).quantize(_CENT, ROUND_HALF_UP, _WIDE))
-
-
 def _arithmetic(exc: Exception) -> str:
     # an OverflowError from math.exp reads only "math range error"
     return f"overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else str(exc)
 
 
-def _fmt_bound(x: float) -> str:
+def _bound(x: float):
+    # an end of V, or of a product, as JSON writes it and as the tables print
+    # it: its repr rounded half-up to 2 decimals, like the published tables
     if math.isinf(x):
-        return "∞"
-    if x == 1.0:
-        return "1"
-    return _round2(x)
+        return "null", "∞"
+    text = repr(x)
+    return text, "1" if x == 1.0 else str(Decimal(text).quantize(_CENT, ROUND_HALF_UP, _WIDE))
 
 
-def _interval(lower: float, upper: float) -> str:
-    # ends that agree at the rendered precision collapse to a single number,
-    # matching how published tables print such rows
-    if lower == upper:  # a point, as every exact value is: rendered once
-        return _fmt_bound(lower)
-    lo, hi = _fmt_bound(lower), _fmt_bound(upper)
-    return lo if lo == hi else f"{lo}–{hi}"
+def _ends(lower: float, upper: float):
+    """V's ends as ``(JSON lower, rendered, JSON upper)``, each through repr
+    once, a point (as every exact value is) once for all three.  Ends that
+    agree when rendered collapse to one number, as published tables print them."""
+    json_lower, lo = _bound(lower)
+    if upper == lower:
+        return json_lower, lo, json_lower
+    json_upper, hi = _bound(upper)
+    return json_lower, lo if lo == hi else f"{lo}–{hi}", json_upper
 
 
 def render_value(ev: engine.EvidentialValue) -> str:
     """Render V as the tables do: one number, or 'lower–upper' with '∞'."""
-    return _interval(ev.lower, ev.upper)
+    return _ends(ev.lower, ev.upper)[1]
 
 
-class ReportRow(namedtuple("ReportRow", "study value v_rendered z_v z_c notes")):
-    """One rendered study of a compute report: its StudySummary, and the
-    EvidentialValue, rendered V, Z_V, Z_C and notes it gave."""
+class ReportRow(namedtuple("ReportRow", "study value z_v z_c notes")):
+    """One evaluated study of a compute report: its StudySummary, and the EvidentialValue,
+    Z_V, Z_C and notes it gave; ``v_rendered`` is V as the tables print it."""
 
     __slots__ = ()
+
+    v_rendered = property(lambda self: render_value(self.value))
 
 
 def build_rows(studies, mode: engine.Mode | str) -> list[ReportRow]:
     """Evaluate each study; a math failure is an ArithmeticError naming it."""
     mode = engine.Mode(mode)
-    rows = []
+    profile_of, value_of = geometry.variance_profile, engine.profile_value
+    notes, new, rows = ledger.study_warnings, tuple.__new__, []  # new: a ReportRow, less a frame
     for study in studies:
         try:
-            profile = geometry.variance_profile(study)
-            ev = engine.profile_value(profile, mode)
+            profile = profile_of(study)
+            ev = value_of(profile, mode)
         except (ArithmeticError, ValueError) as exc:  # e.g. a math domain error
             raise ArithmeticError(f"study '{study.id}': {_arithmetic(exc)}") from exc
-        notes = tuple(ledger.study_warnings(study))
-        rows.append(ReportRow(study, ev, render_value(ev), profile.z_v, profile.z_c, notes))
+        rows.append(new(ReportRow, (study, ev, profile.z_v, profile.z_c, tuple(notes(study)))))
     return rows
 
 
@@ -122,8 +122,8 @@ def _render_table(runs, studies, combined, tail_v, tail_fraction) -> str:
     for b in body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(b, widths)).rstrip())
     lines.append("")
-    prod = _interval(combined.product_lower, combined.product_upper)
-    post = _interval(combined.posterior_odds_lower, combined.posterior_odds_upper)
+    prod = _ends(combined.product_lower, combined.product_upper)[1]
+    post = _ends(combined.posterior_odds_lower, combined.posterior_odds_upper)[1]
     lines.append(f"product V: {prod}")
     lines.append(f"posterior odds (prior {combined.prior_odds:g}): {post}")
     count = round(tail_fraction * studies)  # the count it was divided from
@@ -151,17 +151,15 @@ _JSON_ROW = (
 
 
 def _json_rows(rows) -> str:
-    """A run of report rows as the JSON list of a report's rows; a point V
-    is put through repr once, for both its ends."""
+    """A run of report rows as the JSON list of a report's rows."""
     esc, num = json.encoder.encode_basestring_ascii, _json_number
-    return "[%s]" % ", ".join(
-        _JSON_ROW
-        % (r.value.case.value, esc(r.study.id), *r.study.means, r.study.n,
-           ", ".join(map(esc, r.notes)), *r.study.sds, (lower := num(r.value.lower)),
-           esc(r.v_rendered), lower if r.value.upper == r.value.lower else num(r.value.upper),
-           num(r.z_c), num(r.z_v))
-        for r in rows
-    )
+    texts = []
+    for study, value, z_v, z_c, notes in rows:
+        lower, rendered, upper = _ends(value.lower, value.upper)
+        texts.append(_JSON_ROW % (
+            value.case._value_, esc(study.id), *study.means, study.n, ", ".join(map(esc, notes)),
+            *study.sds, lower, esc(rendered), upper, num(z_c), num(z_v)))
+    return "[%s]" % ", ".join(texts)
 
 
 def _render_json(runs, mode, combined, tail_v, tail_fraction, source, errors) -> str:
@@ -191,7 +189,18 @@ def cmd_compute(args) -> tuple[int, str]:
     """Evaluate a ledger; one of 2 * _PROCESS_ROWS rows or more that
     :func:`ledger.may_split` is split into contiguous runs, one per CPU
     (:mod:`_fork`), and its report is the same bytes as one run's.  A run
-    sends back its rendered rows and each V's ``(lower, upper)`` ends."""
+    sends back its rendered rows and each V's ``(lower, upper)`` ends.  The
+    cyclic garbage collector is off while it runs (README)."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _compute(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _compute(args) -> tuple[int, str]:
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
@@ -204,7 +213,7 @@ def cmd_compute(args) -> tuple[int, str]:
     def run(start, stop):
         # rows start..stop-1 as marshal data: error texts, each V's (lower,
         # upper) ends, rendered rows, and the first evaluation error's text
-        studies, errors = ledger.parse_rows(rows[start:stop])
+        studies, errors = ledger.parse_rows(rows[start:stop], start)
         errors = [str(e) for e in errors]
         try:
             report = build_rows(studies, mode)

@@ -49,13 +49,18 @@ class StudySummary(namedtuple("StudySummary", "id n means sds")):
     __slots__ = ()
 
     def __new__(cls, id, n, means, sds):
-        self = super().__new__(cls, id, n, tuple(map(float, means)), tuple(map(float, sds)))
-        problems = validate(self)
-        if problems:
-            raise LedgerError(f"study '{id}': " + "; ".join(problems), study_id=id)
-        return self
+        return _study(cls, id, n, tuple(map(float, means)), tuple(map(float, sds)))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
+
+
+def _study(cls, id, n, means, sds):
+    # a validated study of float tuples as given: parse_rows makes floats already
+    self = tuple.__new__(cls, (id, n, means, sds))
+    problems = validate(self)
+    if problems:
+        raise LedgerError(f"study '{id}': " + "; ".join(problems), study_id=id)
+    return self
 
 
 class StudyLedger:
@@ -85,19 +90,20 @@ def validate(study: StudySummary) -> list[str]:
     once; a constructed study always passes.
     """
     violations = []
-    if len(study.means) != 3:
+    _, n, means, sds = study
+    if len(means) != 3:
         violations.append("means must have exactly three entries")
-    if len(study.sds) != 3:
+    if len(sds) != 3:
         violations.append("sds must have exactly three entries")
-    if not (isinstance(study.n, (int, float)) and math.isfinite(study.n)):
+    if not (isinstance(n, (int, float)) and math.isfinite(n)):
         violations.append("n must be finite")
-    elif study.n <= 0:
+    elif n <= 0:
         violations.append("n must be positive")
-    if not all(map(math.isfinite, study.means)):
+    if not all(map(math.isfinite, means)):
         violations.append("means must be finite")
-    if not all(map(math.isfinite, study.sds)):
+    if not all(map(math.isfinite, sds)):
         violations.append("sds must be finite")
-    elif study.sds and min(study.sds) <= 0:  # min() of no sds would raise
+    elif sds and min(sds) <= 0:  # min() of no sds would raise
         violations.append("sds must be positive")
     return violations
 
@@ -149,7 +155,8 @@ def _spelled(cell) -> str:
 
 
 def _csv_rows(text: str, source: str):
-    """The data lines under the mandatory header, as ``(where, row, cells)``."""
+    """The data lines under the mandatory header, as ``(line number, cells)``,
+    or as the error of a line without ``len(COLUMNS)`` cells."""
     rows = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,7 +165,8 @@ def _csv_rows(text: str, source: str):
             continue
         cells = [c.strip() for c in line.split(",")]
         if header_seen:
-            rows.append((f"row {lineno}", lineno, cells))
+            rows.append((lineno, cells) if len(cells) == len(COLUMNS) else LedgerError(
+                f"row {lineno}: expected {len(COLUMNS)} columns, got {len(cells)}", row=lineno))
         elif tuple(c.lower() for c in cells) == COLUMNS:
             header_seen = True
         else:
@@ -171,112 +179,104 @@ def _csv_rows(text: str, source: str):
     return rows
 
 
-def _json_cells(where: str, entry):
-    """One ``studies`` entry as ``COLUMNS`` cells, or the error it makes."""
+def _json_cells(entry):
+    """One ``studies`` entry as ``COLUMNS`` cells, or the text of its error."""
     if not isinstance(entry, dict):
-        return LedgerError(f"{where}: expected an object with keys id, n, means, sds")
-    for key in ("id", "n", "means", "sds"):
-        if key not in entry:
-            return LedgerError(f"{where}: missing key '{key}'")
-    means, sds = entry["means"], entry["sds"]
-    if not (isinstance(means, list) and isinstance(sds, list) and len(means) == len(sds) == 3):
-        return LedgerError(f"{where}: means and sds must be lists of three numbers")
-    return [entry["id"], entry["n"], *means, *sds]
-
-
-def _json_rows(text: str, source: str):
-    """The entries of the ``studies`` list as ``(where, None, cells)``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LedgerError(f"{source}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("studies"), list):
-        raise LedgerError(f"{source}: a JSON ledger must be an object with a 'studies' list")
-    rows = []
-    for k, entry in enumerate(doc["studies"]):
-        where = f"studies[{k}]"
-        rows.append((where, None, _json_cells(where, entry)))
-    return doc.get("source", source), rows
+        return "expected an object with keys id, n, means, sds"
+    means, sds = entry.get("means"), entry.get("sds")
+    if "id" in entry and "n" in entry and isinstance(means, list) and isinstance(sds, list):
+        if len(means) == len(sds) == 3:
+            return [entry["id"], entry["n"], *means, *sds]
+    missing = [f"missing key '{key}'" for key in ("id", "n", "means", "sds") if key not in entry]
+    return (missing or ["means and sds must be lists of three numbers"])[0]
 
 
 def document_rows(text: str, source: str = "<string>"):
     """The rows of a ledger document, as ``(source, rows)`` for
     :func:`parse_rows`.  One leading UTF-8 byte-order mark, as spreadsheet
     exports write, is dropped.  CSV: UTF-8, comma-delimited, mandatory header
-    ``id,n,x1,x2,x3,s1,s2,s3``, comment lines start with ``#``; rows are
-    named ``row N`` (1-based input line).  JSON (sniffed by a leading ``{``
-    or ``[``): ``{"studies": [{"id", "n", "means", "sds"}, ...]}`` with an
-    optional top-level ``source``, which replaces *source*; rows are named
-    ``studies[k]``.  A malformed document (no or bad CSV header, invalid
-    JSON, no ``studies`` list) is one row that is its error.
+    ``id,n,x1,x2,x3,s1,s2,s3``, comment lines start with ``#``; a row is
+    ``(line number, cells)``, named ``row N``.  JSON (sniffed by a leading
+    ``{`` or ``[``): ``{"studies": [{"id", "n", "means", "sds"}, ...]}`` with
+    an optional top-level ``source``, which replaces *source*; the rows are
+    the ``studies`` entries as :func:`json.loads` gives them, named
+    ``studies[k]``, and :func:`parse_rows` makes them cells.  A malformed
+    document (no or bad CSV header, invalid JSON, no ``studies`` list) is
+    one row that is its error.
     """
     text = text.removeprefix("\ufeff")
     try:
-        if text.lstrip()[:1] in ("{", "["):
-            return _json_rows(text, source)
-        return source, _csv_rows(text, source)
+        if text.lstrip()[:1] not in ("{", "["):
+            return source, _csv_rows(text, source)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise LedgerError(f"{source}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("studies"), list):
+            raise LedgerError(f"{source}: a JSON ledger must be an object with a 'studies' list")
+        return doc.get("source", source), doc["studies"]
     except LedgerError as exc:
-        return source, [(None, None, exc)]
+        return source, [exc]
 
 
-def parse_rows(rows):
-    """``(studies, errors)`` of :func:`document_rows`' rows: rows that fail
-    to parse, rows whose :class:`StudySummary` construction fails (the error
-    gets the row attached) and repeated ids are errors.  Cells are numbers
-    or their text; ``n`` also accepts quotients like ``141/6``.
+def _name(row, k) -> str:
+    # a row as errors name it: by its CSV line, or by its place in the studies list
+    return f"row {row[0]}" if type(row) is tuple else f"studies[{k}]"
+
+
+def parse_rows(rows, start: int = 0):
+    """``(studies, errors)`` of :func:`document_rows`' rows, the first being row
+    *start* of its document: rows that fail to parse, rows whose :class:`StudySummary`
+    construction fails (the error gets the row attached) and repeated ids are
+    errors.  Cells are numbers or their text; ``n`` also accepts quotients like ``141/6``.
     """
     studies: list[StudySummary] = []
     errors: list[LedgerError] = []
-    seen: dict[str, str] = {}
-    for where, row, cells in rows:
-        if isinstance(cells, LedgerError):
-            errors.append(cells)
+    seen: dict[str, int] = {}  # each id's row
+    for k, row in enumerate(rows, start):
+        if type(row) is tuple:  # a CSV line
+            lineno, cells = row
+        elif isinstance(row, LedgerError):  # a line, or a document, that is its error
+            errors.append(row)
             continue
-        if len(cells) != len(COLUMNS):
-            errors.append(
-                LedgerError(
-                    f"{where}: expected {len(COLUMNS)} columns, got {len(cells)}", row=row
-                )
-            )
-            continue
-        values = [_id(cells[0]), _number(cells[1], True), *map(_number, cells[2:])]
-        study_id = values[0]
-        if None in values:
+        else:  # a JSON entry
+            lineno, cells = None, _json_cells(row)
+            if type(cells) is str:
+                errors.append(LedgerError(f"studies[{k}]: {cells}"))
+                continue
+        study_id, n = _id(cells[0]), _number(cells[1], True)
+        numbers = tuple(map(_number, cells[2:]))
+        if study_id is None or n is None or None in numbers:
             errors += [
-                LedgerError(
-                    f"{where}, column {name}: could not parse '{_spelled(cell)}'",
-                    row=row,
-                    column=name,
-                    study_id=study_id,
-                )
-                for name, cell, value in zip(COLUMNS, cells, values)
+                LedgerError(f"{_name(row, k)}, column {name}: could not parse '{_spelled(cell)}'",
+                            row=lineno, column=name, study_id=study_id)
+                for name, cell, value in zip(COLUMNS, cells, (study_id, n, *numbers))
                 if value is None
             ]
             continue
         try:
-            study = StudySummary(study_id, values[1], tuple(values[2:5]), tuple(values[5:]))
+            study = _study(StudySummary, study_id, n, numbers[:3], numbers[3:])
         except LedgerError as exc:
-            exc.row = row
+            exc.row = lineno
             errors.append(exc)
             continue
-        if study_id in seen:
-            errors.append(
-                LedgerError(
-                    f"{where}: duplicate study id '{study_id}' (first at {seen[study_id]})",
-                    row=row,
-                    study_id=study_id,
-                )
-            )
+        first = seen.setdefault(study_id, k)
+        if first != k:
+            where = _name(rows[first - start], first)
+            errors.append(LedgerError(f"{_name(row, k)}: duplicate study id '{study_id}' "
+                                      f"(first at {where})", row=lineno, study_id=study_id))
             continue
-        seen[study_id] = where
         studies.append(study)
     return studies, errors
 
 
 def may_split(rows) -> bool:
     """Whether runs of *rows* parse alone as in the whole: no id repeats.
-    An id cell that does not parse is a parse error, never a repeat."""
-    ids = list(filter(None, [_id(cells[0]) for *_, cells in rows if type(cells) is list]))
+    An id that does not parse (blank, missing, or of an entry that is no
+    object) is a parse error, never a repeat."""
+    cells = (row[1][0] if type(row) is tuple else row.get("id") for row in rows
+             if type(row) is tuple or isinstance(row, dict))
+    ids = list(filter(None, map(_id, cells)))
     return len(set(ids)) == len(ids)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -226,6 +227,32 @@ def test_compute_paper_json_report_is_the_golden_bytes(monkeypatch):
     rows = json.loads(golden[1])["rows"]
     assert sum(r["v_lower"] != r["v_upper"] for r in rows) == 4
     assert [r["id"] for r in rows if r["v_upper"] is None] == ["8"]
+
+
+MIXED_GOLDEN = {
+    "mixed_exact_report.json": ["--mode", "exact", "--format", "json"],
+    "mixed_paper_report.json": ["--mode", "paper", "--format", "json"],
+    "mixed_exact_table.txt": ["--mode", "exact"],
+}
+
+
+@pytest.mark.parametrize("golden", MIXED_GOLDEN)
+def test_compute_mixed_ledger_is_the_golden_bytes(golden):
+    # a hand-written JSON ledger: quotient and small n with their notes,
+    # integer and text cells, zero contrasts (a point at infinity, or an
+    # interval to it in paper mode), every case, ids that need escaping or
+    # are JSON numbers, a -0.0 mean, and 8 rejected entries
+    data = Path(__file__).parent / "data"
+    argv = ["compute", "--input", str(data / "mixed_ledger.json"), *MIXED_GOLDEN[golden]]
+    errors = json.loads((data / "mixed_exact_report.json").read_text(encoding="utf-8"))["errors"]
+    stderr = "".join(f"error: {e}\n" for e in errors)
+    assert run(argv) == (2, (data / golden).read_text(encoding="utf-8"), stderr)
+    if golden.endswith(".json"):
+        rows = json.loads((data / golden).read_text(encoding="utf-8"))["rows"]
+        assert {r["case"] for r in rows} == {"above", "middle", "below"}
+        assert sum(map(len, (r["notes"] for r in rows))) == 6 and len(errors) == 8
+        to_infinity = any(r["v_lower"] is not None and r["v_upper"] is None for r in rows)
+        assert to_infinity == ("paper" in golden)
 
 
 #: studies for the row template: ids that the escaper changes or that read as
@@ -486,6 +513,18 @@ SPLIT_CASES = {
         [2, 2, 2, 2, 2],
     ),
     "bad_entries": ("json", [(7, 5), (1700, {"id": "k", "n": 20})], "split", [2, 2, 2, 2, 2]),
+    # a means list of two in the third of three runs, after entries that
+    # are no object or miss a key in the first two
+    "bad_means": (
+        "json",
+        [
+            (7, 5),
+            (1700, {"id": "k", "n": 20}),
+            (2000, {"id": "m", "n": 20, "means": [1, 2], "sds": [1, 1, 1]}),
+        ],
+        "split",
+        [2, 2, 2, 2, 2],
+    ),
     # the second of three runs has no study
     "empty_run": ("json", [(k, None) for k in range(800, 1600)], "split", [2, 2, 2, 2, 2]),
     # V beyond the float range in the second and third runs, after a bad row
@@ -519,6 +558,21 @@ def test_compute_split_across_processes_gives_the_one_process_report(
         assert (one, split_compute(argv, 3)) == (1, (serial, 3)), (case, options)
         got.append(serial[0])
     assert got == codes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_compute_split_names_each_json_entry_by_its_place(tmp_path, split_compute):
+    # each run makes its own entries cells, and names a bad one by its place
+    # in the whole ledger
+    path = split_ledger(tmp_path, "json", SPLIT_CASES["bad_means"][1])
+    for processes in (1, 3):
+        (code, out, err), made = split_compute(["--input", str(path)], processes)
+        assert (code, made) == (2, processes) and out
+        assert err == (
+            "error: studies[7]: expected an object with keys id, n, means, sds\n"
+            "error: studies[1700]: missing key 'means'\n"
+            "error: studies[2000]: means and sds must be lists of three numbers\n"
+        )
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -988,6 +1042,54 @@ def test_main_freezes_the_objects_at_exit_with_one_handler():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(0, 0) 1 0\nTrue\n", "")
+
+
+# --- the cyclic garbage collector ---------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compute_runs_without_the_collector_and_restores_its_setting(
+    monkeypatch, suspect_csv, enabled
+):
+    # off while compute runs, and as the caller had it after a report and
+    # after each kind of error
+    import evidential.cli as cli
+
+    seen = []
+    build = cli.build_rows
+    monkeypatch.setattr(cli, "build_rows", lambda *a: seen.append(gc.isenabled()) or build(*a))
+    overflow = suspect_csv.parent / "overflow.csv"
+    overflow.write_text("id,n,x1,x2,x3,s1,s2,s3\na,20,1e-320,0,0,1,1,1\n", encoding="utf-8")
+    cases = [([str(suspect_csv)], 0), (["/nonexistent.csv"], 2), ([str(overflow)], 1)]
+    was = gc.isenabled()
+    try:
+        for argv, code in cases:
+            (gc.enable if enabled else gc.disable)()
+            assert run(["compute", "--input", *argv])[0] == code
+            assert gc.isenabled() is enabled, argv
+        assert seen == [False, False]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_compute_leaves_cycles_that_do_not_grow_with_the_studies(tmp_path, suspect_csv):
+    # what a collection finds after a run without the collector is the same
+    # for 12 studies as for 400: compute makes no cycle per study
+    rng = np.random.default_rng(400)
+    ledger = StudyLedger([random_study(rng, f"s{k}") for k in range(400)])
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(ledger_to_mapping(ledger)), encoding="utf-8")
+    was = gc.isenabled()
+    found = {}
+    try:
+        for path in (suspect_csv, big, suspect_csv, big):
+            argv = ["compute", "--input", str(path), "--mode", "exact", "--format", "json"]
+            gc.disable()
+            gc.collect()
+            assert run(argv)[0] == 0
+            found.setdefault(path.name, set()).add(gc.collect())
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert found["big.json"] == found["suspect.csv"] and len(found["big.json"]) == 1, found
 
 
 DATA = Path(evidential.__path__[0]) / "data"

@@ -8,7 +8,9 @@ from evidential.ledger import (
     LedgerError,
     StudyLedger,
     StudySummary,
+    document_rows,
     load_ledger,
+    may_split,
     parse_ledger,
     parse_ledger_lenient,
     study_warnings,
@@ -187,6 +189,23 @@ def test_parse_rejects_duplicate_ids():
         assert [str(e) for e in errors] == [
             f"{where(2)}: duplicate study id 'good' (first at {where(0)})"
         ]
+
+
+def test_may_split_reads_the_ids_of_the_raw_entries():
+    # a JSON id is read as parse_rows reads it, so 5 and "5" repeat; an id
+    # that does not parse is an error of its row, never a repeat
+    def rows(*entries):
+        return document_rows(json.dumps({"studies": entries}))[1]
+
+    def entry(**keys):
+        return {"n": 20, "means": [1, 2, 3], "sds": [1, 1, 1], **keys}
+
+    assert not may_split(rows(entry(id=5), entry(id="5")))
+    assert not may_split(rows(entry(id=" a"), entry(id="a ")))
+    assert may_split(rows(*(entry(id=i) for i in (5, "6", 7.5, "7"))))
+    assert may_split(rows(*(entry(id=i) for i in ("", " ", None, True, [5], {"a": 1}, "x"))))
+    others = rows(5, [5], "5", entry(), entry(), entry(id=5))  # no object, or no id
+    assert may_split(others) and not may_split(others + rows(entry(id="5")))
 
 
 def test_parse_requires_header():

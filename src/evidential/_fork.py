@@ -12,7 +12,6 @@ library only; ``signal`` is imported only where a run is forked.
 
 from __future__ import annotations
 
-import gc
 import marshal
 import os
 from contextlib import suppress
@@ -54,10 +53,6 @@ def forked_map(work, count, chunk, least):
     import signal  # here, so that loading the command line never loads it
 
     children = []  # (pid, read end of its pipe, run), None for what was not made
-    # a collection in a child then leaves the pages of the parent's objects
-    # shared: in a 3M-rep simulate child made to run gc.collect(), the
-    # parent's Private_Dirty was 9.1 MB without the freeze, 3.5 MB with it
-    gc.freeze()
     try:
         # a Ctrl-C waits until each new child is on the list, to be killed
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -98,7 +93,6 @@ def forked_map(work, count, chunk, least):
             results.append(marshal.loads(b"".join(sent)) if status == 0 and sent else work(*run))
         return results
     finally:
-        gc.unfreeze()
         for pid, read, _ in children:
             with suppress(ProcessLookupError, ChildProcessError):
                 if pid is not None:

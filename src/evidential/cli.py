@@ -166,7 +166,7 @@ def _render_json(runs, mode, combined, tail_v, tail_fraction, source, errors) ->
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source": source,
-        "mode": mode.value,
+        "mode": mode,
         "rows": [],
         "combined": {key: None if math.isinf(x) else x for key, x in combined._asdict().items()},
         "empirical_tail": {"v": tail_v, "fraction": tail_fraction},
@@ -207,7 +207,6 @@ def _compute(args) -> tuple[int, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     source, rows = ledger.document_rows(text, source=args.input)
-    mode = engine.Mode(args.mode)
     render = _json_rows if args.format == "json" else _table_rows
 
     def run(start, stop):
@@ -216,7 +215,7 @@ def _compute(args) -> tuple[int, str]:
         studies, errors = ledger.parse_rows(rows[start:stop], start)
         errors = [str(e) for e in errors]
         try:
-            report = build_rows(studies, mode)
+            report = build_rows(studies, args.mode)
         except ArithmeticError as exc:
             return errors, [], None, str(exc)
         values = [(r.value.lower, r.value.upper) for r in report]
@@ -243,7 +242,7 @@ def _compute(args) -> tuple[int, str]:
     tail = engine.empirical_tail_fraction(values, tail_v)
     renders = [result[2] for result in results]
     if args.format == "json":
-        report = _render_json(renders, mode, combined, tail_v, tail, source, errors)
+        report = _render_json(renders, args.mode, combined, tail_v, tail, source, errors)
     else:
         report = _render_table(renders, len(values), combined, tail_v, tail)
     return EXIT_INPUT if errors else EXIT_OK, report

@@ -231,7 +231,8 @@ def combine(values: Sequence[EvidentialValue], prior_odds: float = 1.0) -> Combi
     for factors in ([ev[0] for ev in values], [ev[1] for ev in values]):
         product = math.prod(factors)
         if math.isinf(prior_odds * product) and all(map(math.isfinite, factors)):
-            raise OverflowError("the product of the values exceeds the float range")
+            what = "" if math.isinf(product) else " times the prior odds"
+            raise OverflowError(f"the product of the values{what} exceeds the float range")
         ends.append(product)
     return CombinedEvidence(
         product_lower=ends[0],

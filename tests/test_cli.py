@@ -358,6 +358,24 @@ def test_compute_refuses_a_product_beyond_the_float_range(tmp_path):
         ), fmt
 
 
+@pytest.mark.parametrize(
+    "rows, prior_odds, what",
+    [
+        # V is 3.3e299, finite, and 1e20 times it is not
+        (b"a,20,1e-300,0,0,1,1,1\n", "1e20", "the product of the values times the prior odds"),
+        # the product of two is beyond the float range before 1e-20 could bring it back
+        (b"a,20,1e-300,0,0,1,1,1\nb,20,1e-300,0,0,1,1,1\n", "1e-20", "the product of the values"),
+    ],
+    ids=["posterior odds", "product"],
+)
+def test_compute_names_what_overflows_with_prior_odds(tmp_path, rows, prior_odds, what):
+    path = tmp_path / "big.csv"
+    path.write_bytes(HEADER_LINE + rows)
+    for fmt in ("table", "json"):
+        argv = ["compute", "--input", str(path), "--prior-odds", prior_odds, "--format", fmt]
+        assert run(argv) == (1, "", f"error: overflow: {what} exceeds the float range\n"), fmt
+
+
 def test_build_rows_computes_one_contrast_per_study(monkeypatch, reference):
     from evidential import geometry
     from evidential.cli import build_rows

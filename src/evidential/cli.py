@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from . import _fork, engine, geometry, ledger, simulate
+from . import engine, geometry, ledger, simulate
 
 SCHEMA_VERSION = 1
 
@@ -94,8 +94,8 @@ def _fmt_z(x: float) -> str:
     return f"{x:+.4e}" if abs(x) >= 1e6 else f"{x:+.4f}"
 
 
-def _table_rows(rows):
-    """A run of report rows as the cells and note lines of a table."""
+def _render_table(rows, combined, tail_v, tail_fraction) -> str:
+    header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [
         (
             r.study.id,
@@ -110,13 +110,6 @@ def _table_rows(rows):
         )
         for r in rows
     ]
-    notes = [f"  study '{r.study.id}': {note}" for r in rows for note in r.notes]
-    return body, notes
-
-
-def _render_table(runs, studies, combined, tail_v, tail_fraction) -> str:
-    header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
-    body = [cells for run_body, _ in runs for cells in run_body]
     widths = [max(len(h), *(len(b[i]) for b in body)) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     for b in body:
@@ -126,43 +119,36 @@ def _render_table(runs, studies, combined, tail_v, tail_fraction) -> str:
     post = _ends(combined.posterior_odds_lower, combined.posterior_odds_upper)[1]
     lines.append(f"product V: {prod}")
     lines.append(f"posterior odds (prior {combined.prior_odds:g}): {post}")
+    studies = len(rows)
     count = round(tail_fraction * studies)  # the count it was divided from
     lines.append(f"empirical share with V >= {tail_v:g}: {count}/{studies} = {tail_fraction:.4f}")
-    notes = [line for _, run_notes in runs for line in run_notes]
+    notes = [f"  study '{r.study.id}': {note}" for r in rows for note in r.notes]
     if notes:
         lines.append("notes:")
         lines += notes
     return "\n".join(lines) + "\n"
 
 
-def _json_number(x: float) -> str:
-    # a float as the C encoder writes it, an infinite one as null
-    return "null" if math.isinf(x) else repr(x)
-
-
-#: one report row as json.dumps(..., sort_keys=True) writes its dict: the
-#: keys in sorted order, floats by repr, strings by the encoder's escaper
-#: (the case, one of three plain words, needs none)
-_JSON_ROW = (
-    '{"case": "%s", "id": %s, "means": [%r, %r, %r], "n": %r, "notes": [%s], '
-    '"sds": [%r, %r, %r], "v_lower": %s, "v_rendered": %s, "v_upper": %s, '
-    '"z_c": %s, "z_v": %s}'
-)
-
-
 def _json_rows(rows) -> str:
-    """A run of report rows as the JSON list of a report's rows."""
-    esc, num = json.encoder.encode_basestring_ascii, _json_number
+    """Report rows as the JSON list of a report's rows, each written as
+    json.dumps(..., sort_keys=True) writes its dict: the keys in sorted order,
+    floats by repr and an infinite one as null, strings by the encoder's
+    escaper (the case, one of three plain words, needs none)."""
+    esc, isinf = json.encoder.encode_basestring_ascii, math.isinf
     texts = []
-    for study, value, z_v, z_c, notes in rows:
+    for (sid, n, (x1, x2, x3), (s1, s2, s3)), value, z_v, z_c, notes in rows:
         lower, rendered, upper = _ends(value.lower, value.upper)
-        texts.append(_JSON_ROW % (
-            value.case._value_, esc(study.id), *study.means, study.n, ", ".join(map(esc, notes)),
-            *study.sds, lower, esc(rendered), upper, num(z_c), num(z_v)))
-    return "[%s]" % ", ".join(texts)
+        texts.append(
+            f'{{"case": "{value.case._value_}", "id": {esc(sid)}, '
+            f'"means": [{x1!r}, {x2!r}, {x3!r}], "n": {n!r}, "notes": [{", ".join(map(esc, notes))}], '
+            f'"sds": [{s1!r}, {s2!r}, {s3!r}], "v_lower": {lower}, "v_rendered": {esc(rendered)}, '
+            f'"v_upper": {upper}, "z_c": {"null" if isinf(z_c) else repr(z_c)}, '
+            f'"z_v": {"null" if isinf(z_v) else repr(z_v)}}}'
+        )
+    return f"[{', '.join(texts)}]"
 
 
-def _render_json(runs, mode, combined, tail_v, tail_fraction, source, errors) -> str:
+def _render_json(rows, mode, combined, tail_v, tail_fraction, source, errors) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source": source,
@@ -173,24 +159,15 @@ def _render_json(runs, mode, combined, tail_v, tail_fraction, source, errors) ->
         "errors": errors,
     }
     # one line, which ``python -m json.tool`` pretty-prints: the frame by
-    # json.dumps, and at its empty list the runs' rows from _JSON_ROW.
+    # json.dumps, and at its empty list the rows' text from _json_rows.
     # Inside a JSON string every '"' is escaped, so that text is the key
     head, _, tail = json.dumps(doc, sort_keys=True).partition('"rows": []')
-    rows = ", ".join(text[1:-1] for text in runs if text != "[]")
-    return f'{head}"rows": [{rows}]{tail}\n'
-
-
-#: fewest ledger rows worth a process of their own in compute: on a 2-CPU VM two
-#: processes won 5 of 5 sets at 400 rows (12-18 ms against 14-21 ms), 2 of 5 at 200
-_PROCESS_ROWS = 200
+    return f'{head}"rows": {_json_rows(rows)}{tail}\n'
 
 
 def cmd_compute(args) -> tuple[int, str]:
-    """Evaluate a ledger; one of 2 * _PROCESS_ROWS rows or more that
-    :func:`ledger.may_split` is split into contiguous runs, one per CPU
-    (:mod:`_fork`), and its report is the same bytes as one run's.  A run
-    sends back its rendered rows and each V's ``(lower, upper)`` ends.  The
-    cyclic garbage collector is off while it runs (README)."""
+    """Evaluate a ledger in this process.  The cyclic garbage collector is off
+    while it runs (README)."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -207,45 +184,27 @@ def _compute(args) -> tuple[int, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     source, rows = ledger.document_rows(text, source=args.input)
-    render = _json_rows if args.format == "json" else _table_rows
-
-    def run(start, stop):
-        # rows start..stop-1 as marshal data: error texts, each V's (lower,
-        # upper) ends, rendered rows, and the first evaluation error's text
-        studies, errors = ledger.parse_rows(rows[start:stop], start)
-        errors = [str(e) for e in errors]
-        try:
-            report = build_rows(studies, args.mode)
-        except ArithmeticError as exc:
-            return errors, [], None, str(exc)
-        values = [(r.value.lower, r.value.upper) for r in report]
-        return errors, values, render(report), None
-
-    # a ledger that may not be split is one chunk, so one run
-    chunk = 1 if ledger.may_split(rows) else len(rows)
-    results = _fork.forked_map(run, len(rows), chunk, _PROCESS_ROWS)
-    errors = [e for result in results for e in result[0]]
+    studies, errors = ledger.parse_rows(rows)
+    del text, rows  # freed before the studies are evaluated, which reuse the memory
+    errors = [str(e) for e in errors]
     for e in errors:
         sys.stderr.write(f"error: {e}\n")
     if errors and args.strict:
         sys.stderr.write("error: --strict forbids partial output\n")
         return EXIT_INPUT, ""
-    failure = next((result[3] for result in results if result[3] is not None), None)
-    if failure is not None:  # a failed run has studies, so this may come first
-        raise ArithmeticError(failure)
-    values = [ends for result in results for ends in result[1]]
-    if not values:
+    report = build_rows(studies, args.mode)
+    if not report:
         sys.stderr.write("error: no studies\n")
         return EXIT_INPUT, ""
+    values = [r.value for r in report]
     combined = engine.combine(values, prior_odds=args.prior_odds)
     tail_v = 2.0
     tail = engine.empirical_tail_fraction(values, tail_v)
-    renders = [result[2] for result in results]
     if args.format == "json":
-        report = _render_json(renders, args.mode, combined, tail_v, tail, source, errors)
+        out = _render_json(report, args.mode, combined, tail_v, tail, source, errors)
     else:
-        report = _render_table(renders, len(values), combined, tail_v, tail)
-    return EXIT_INPUT if errors else EXIT_OK, report
+        out = _render_table(report, combined, tail_v, tail)
+    return EXIT_INPUT if errors else EXIT_OK, out
 
 
 def cmd_threshold(args) -> tuple[int, str]:

@@ -77,6 +77,11 @@ class Case(str, Enum):
     ABOVE = "above"
 
 
+#: the members as module names, which read faster than through their class
+_PAPER, _EXACT = Mode.PAPER, Mode.EXACT
+_MIDDLE, _BELOW, _ABOVE = Case.MIDDLE, Case.BELOW, Case.ABOVE
+
+
 class EvidentialValue(namedtuple("EvidentialValue", "lower upper case mode")):
     """A point value (lower == upper) or interval for V.
 
@@ -128,18 +133,20 @@ def evidential_value(study, mode: Mode | str = Mode.PAPER) -> EvidentialValue:
 
 def profile_value(profile, mode: Mode) -> EvidentialValue:
     """:func:`evidential_value` from a study's variance *profile*."""
-    r = abs(profile.z_v)
-    q = profile.q_exact if mode is Mode.EXACT else profile.q_paper
+    # tuple.__new__ builds each record without the namedtuple's own __new__ frame
+    z_v, _, q_paper, q_exact = profile
+    r = abs(z_v)
+    if r > 1.0:  # V = 1: log_value is 0 from r = 1 on
+        return tuple.__new__(EvidentialValue, (1.0, 1.0, _ABOVE, mode))
+    q = q_exact if mode is _EXACT else q_paper
     lower = upper = _value(r, q)
-    if r > 1.0:
-        case = Case.ABOVE
-    elif r < q or r == 0.0:
-        case = Case.BELOW
-        if mode is Mode.PAPER:
+    if r < q or r == 0.0:
+        case = _BELOW
+        if mode is _PAPER:
             upper = max(lower, _value(r, 0.0))
     else:
-        case = Case.MIDDLE
-    return EvidentialValue(lower, upper, case, mode)
+        case = _MIDDLE
+    return tuple.__new__(EvidentialValue, (lower, upper, case, mode))
 
 
 def z_v_statistic(study) -> float:

@@ -107,16 +107,16 @@ def exact_infimum_sq(sds) -> float:
     s1, s2, s3 = sds
     if not (s1 > 0 and s2 > 0 and s3 > 0):
         raise ValueError("sds must be positive")
-    return _exact_gap((s1, 2.0 * s2, s3), sds, 1.0) ** 2
+    return _exact_gap(s1, 2.0 * s2, s3, sds, 1.0) ** 2
 
 
-def _exact_gap(w, sds, unit):
+def _exact_gap(w1, w2, w3, sds, unit):
     # max(0, 2*max(w) - sum(w)) for w = (s1, 2*s2, s3)/unit, unit a power of
     # two; a deficit too close to zero for the float sign is decided in
     # decimal from the sds as given, like the contrast, so sds whose printed
     # decimals close a triangle give an exact zero
-    top = max(w)
-    deficit = 2.0 * top - (w[0] + w[1] + w[2])
+    top = max(w1, w2, w3)
+    deficit = 2.0 * top - (w1 + w2 + w3)
     if abs(deficit) <= 1e-12 * top:
         d1, d2, d3 = (Decimal(repr(float(s))) for s in sds)
         low, mid, high = sorted((d1, 2 * d2, d3))
@@ -151,7 +151,7 @@ def variance_profile(study) -> VarianceProfile:
     s0 = math.hypot(s1, w2, s3)
     # q_exact <= q_paper <= 1 holds in exact arithmetic; the mins keep it in floats
     paper = min(abs(w2 - (s1 + s3)), abs(w2 - math.hypot(s1, s3)), s0)
-    exact = min(_exact_gap((s1, w2, s3), sds, unit), paper)
+    exact = min(_exact_gap(s1, w2, s3, sds, unit), paper)
     z = contrast(study.means)
     root_n_z = math.sqrt(study.n) * (z / unit)
     z_v = root_n_z / s0
@@ -160,4 +160,4 @@ def variance_profile(study) -> VarianceProfile:
         z_v = math.copysign(math.ulp(0.0), z)
     # the pooled sd sqrt(2*(s1^2 + s2^2 + s3^2)) is a hypot of six
     z_c = root_n_z / math.hypot(s1, s2, s3, s1, s2, s3)
-    return VarianceProfile(z_v, z_c, paper / s0, exact / s0)
+    return tuple.__new__(VarianceProfile, (z_v, z_c, paper / s0, exact / s0))

@@ -143,9 +143,15 @@ def _number(cell, quotient: bool = False):
 
 def _id(cell):
     """A cell as a study id: text stripped like a CSV cell, if that leaves
-    any, or a JSON number's text; else None."""
+    any and UTF-8 can write it, or a JSON number's text; else None.  A JSON
+    string can spell a lone surrogate (``"\\ud800"``), which no report can write."""
     if type(cell) in (str, int, float):  # not a bool, null, list or object
-        return str(cell).strip() or None
+        text = str(cell).strip()
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            return None
+        return text or None
     return None
 
 
@@ -224,16 +230,16 @@ def _name(row, k) -> str:
     return f"row {row[0]}" if type(row) is tuple else f"studies[{k}]"
 
 
-def parse_rows(rows, start: int = 0):
-    """``(studies, errors)`` of :func:`document_rows`' rows, the first being row
-    *start* of its document: rows that fail to parse, rows whose :class:`StudySummary`
-    construction fails (the error gets the row attached) and repeated ids are
-    errors.  Cells are numbers or their text; ``n`` also accepts quotients like ``141/6``.
+def parse_rows(rows):
+    """``(studies, errors)`` of :func:`document_rows`' rows: rows that fail to
+    parse, rows whose :class:`StudySummary` construction fails (the error gets
+    the row attached) and repeated ids are errors.  Cells are numbers or their
+    text; ``n`` also accepts quotients like ``141/6``.
     """
     studies: list[StudySummary] = []
     errors: list[LedgerError] = []
     seen: dict[str, int] = {}  # each id's row
-    for k, row in enumerate(rows, start):
+    for k, row in enumerate(rows):
         if type(row) is tuple:  # a CSV line
             lineno, cells = row
         elif isinstance(row, LedgerError):  # a line, or a document, that is its error
@@ -262,22 +268,12 @@ def parse_rows(rows, start: int = 0):
             continue
         first = seen.setdefault(study_id, k)
         if first != k:
-            where = _name(rows[first - start], first)
+            where = _name(rows[first], first)
             errors.append(LedgerError(f"{_name(row, k)}: duplicate study id '{study_id}' "
                                       f"(first at {where})", row=lineno, study_id=study_id))
             continue
         studies.append(study)
     return studies, errors
-
-
-def may_split(rows) -> bool:
-    """Whether runs of *rows* parse alone as in the whole: no id repeats.
-    An id that does not parse (blank, missing, or of an entry that is no
-    object) is a parse error, never a repeat."""
-    cells = (row[1][0] if type(row) is tuple else row.get("id") for row in rows
-             if type(row) is tuple or isinstance(row, dict))
-    ids = list(filter(None, map(_id, cells)))
-    return len(set(ids)) == len(ids)
 
 
 def parse_ledger_lenient(text: str, source: str = "<string>"):

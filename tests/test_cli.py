@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evidential
 from evidential.cli import _json_rows, build_rows, main, render_value
@@ -286,6 +288,49 @@ def test_json_rows_are_the_bytes_of_json_dumps(mode, suspect, reference):
     assert by_id["huge z"].z_v == by_id["huge z"].z_c == INF
 
 
+#: a float of any sign, written by repr in fixed point or, below 1e-4 and
+#: from 1e16 on, in exponent notation, or a zero of either sign
+_MAGNITUDES = st.floats(1e-300, 1e-4) | st.floats(1e-4, 1e16) | st.floats(1e16, 1e300)
+_SIGNED = st.sampled_from([0.0, -0.0]) | st.tuples(_MAGNITUDES, st.booleans()).map(
+    lambda m: -m[0] if m[1] else m[0])
+
+
+@st.composite
+def json_row_studies(draw):
+    """A valid study: an id of any characters (escaped, non-ASCII, astral,
+    lone surrogates, or digits), an integer-valued or quotient n, and means
+    with a zero contrast (paper upper end ∞), a contrast of 0-3 of its sds
+    (every case), or free."""
+    chars = st.characters(exclude_categories=()) | st.characters(min_codepoint=0xD800,
+                                                                 max_codepoint=0xDFFF)
+    sid = draw(st.text(chars, min_size=1, max_size=8)
+               | st.sampled_from(["12", "1e5", "-0.0", 'say "hi"', "a\\b"]))
+    n = draw(st.integers(1, 10**6).map(float)
+             | st.builds(lambda a, b: a / b, st.integers(1, 1000), st.integers(1, 60)))
+    s1, s2, s3 = sds = draw(st.tuples(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES)
+                            | st.tuples(*[st.floats(0.1, 10)] * 3))
+    kind = draw(st.sampled_from(["zero", "scaled", "free"]))
+    if kind == "free":
+        means = draw(st.tuples(_SIGNED, _SIGNED, _SIGNED))
+    else:
+        base = draw(_SIGNED) if kind == "zero" else draw(st.sampled_from([-0.0, 0.0, 1.5]))
+        t = 0.0 if kind == "zero" else draw(st.floats(0, 3))
+        means = (base, base, base + t * math.hypot(s1, 2 * s2, s3) / math.sqrt(n))
+    return StudySummary(sid, n, means, sds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_row_studies(), max_size=6), st.sampled_from(["paper", "exact"]))
+def test_json_rows_match_json_dumps_on_any_valid_studies(studies, mode):
+    rows = []
+    for study in studies:
+        try:
+            rows += build_rows([study], mode)
+        except ArithmeticError:  # a V beyond the float range is an error, not a row
+            pass
+    assert _json_rows(rows) == json_rows_oracle(rows)
+
+
 def test_compute_json_round_trips(suspect_csv, suspect):
     code, out, _ = run(["compute", "--input", str(suspect_csv), "--format", "json"])
     assert code == 0
@@ -455,12 +500,28 @@ def test_compute_partial_output_and_strict(tmp_path):
     assert "partial output" in err
 
 
-# --- compute split across processes -----------------------------------------
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_compute_refuses_by_name_an_id_no_report_can_write(tmp_path, fmt):
+    # JSON can spell a lone surrogate, which no UTF-8 report can write: the
+    # row is refused, named as any id that does not parse, in both formats
+    entry = '{"id": "%s", "n": 20, "means": [1, 2, 4], "sds": [1, 1, 1]}'
+    path = tmp_path / "lone.json"
+    path.write_text('{"studies": [%s, %s]}' % (entry % "a", entry % "\\ud800"), encoding="utf-8")
+    proc = cold(["compute", "--input", str(path), "--format", fmt])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, "error: studies[1], column id: could not parse '\\ud800'\n")
+    if fmt == "json":
+        assert [row["id"] for row in json.loads(out)["rows"]] == ["a"]
+    else:
+        assert out.splitlines()[1].startswith("a ")
 
-SPLIT_ROWS = 2400
+
+# --- compute of a large ledger ----------------------------------------------
+
+LARGE_ROWS = 2400
 
 
-def split_ledger(tmp_path, fmt, edits=(), count=SPLIT_ROWS, source="split"):
+def large_ledger(tmp_path, fmt, edits=(), count=LARGE_ROWS, source="large"):
     """*count* random studies as a CSV or JSON ledger file.  Each ``(k,
     line)`` edit replaces the k-th study with a CSV line, or in JSON with
     an entry."""
@@ -476,63 +537,33 @@ def split_ledger(tmp_path, fmt, edits=(), count=SPLIT_ROWS, source="split"):
         for k, entry in edits:
             doc["studies"][k] = entry
         text = json.dumps(doc)
-    path = tmp_path / f"split.{fmt}"
+    path = tmp_path / f"large.{fmt}"
     path.write_text(text, encoding="utf-8")
     return path
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+#: paper and exact mode, table and JSON, then --strict
+OPTIONS = [[f"--mode={m}", f"--format={f}"] for m in ("paper", "exact") for f in ("table", "json")]
+OPTIONS.append(["--strict"])
 
-
-@pytest.fixture()
-def split_compute(monkeypatch):
-    """Run compute with the number of processes forced; give its exit code,
-    stdout and stderr, and how many runs it cut the rows into."""
-    from evidential import _fork
-
-    made = []
-    runs = _fork.runs
-
-    def counted(*args):
-        cut = runs(*args)
-        made.append(len(cut))
-        return cut
-
-    monkeypatch.setattr(_fork, "runs", counted)
-
-    def compute(argv, processes):
-        monkeypatch.setattr(_fork, "processes", lambda units, least: processes)
-        made.clear()
-        result = run(["compute", *argv])
-        assert_no_child_left()
-        return result, made[0]
-
-    return compute
-
-
-FORMATS = [(mode, fmt) for mode in ("paper", "exact") for fmt in ("table", "json")]
-
-#: split ledgers: format, edits, source, and the exit codes of paper and
+#: large ledgers: format, edits, source, and the exit codes of paper and
 #: exact mode, table and JSON, then of --strict.  Errors are reported in row
-#: order, and an evaluation error is the first study's of a serial run
-SPLIT_CASES = {
+#: order, and an evaluation error is the first failing study's
+LARGE_CASES = {
     # a JSON source that holds the text the rows are spliced in at
     "json": ("json", [], 'a "rows": [] source', [0, 0, 0, 0, 0]),
-    "csv": ("csv", [], "split", [0, 0, 0, 0, 0]),
-    # blank ids are parse errors, not repeats: the ledger is still split
-    "blank_ids": ("csv", [(5, ",20,1,2,3,1,1,1"), (900, ",20,1,2,3,1,1,1")], "split", [2] * 5),
-    # parse errors in each of the three runs
+    "csv": ("csv", [], "large", [0, 0, 0, 0, 0]),
+    # blank ids are parse errors, not repeats
+    "blank_ids": ("csv", [(5, ",20,1,2,3,1,1,1"), (900, ",20,1,2,3,1,1,1")], "large", [2] * 5),
+    # parse errors near the start, middle and end
     "bad_rows": (
         "csv",
         [(5, "bad,20,x,0,0,1,1,1"), (1000, "short,20,1"), (2300, "neg,20,1,2,3,1,-1,1")],
-        "split",
+        "large",
         [2, 2, 2, 2, 2],
     ),
-    "bad_entries": ("json", [(7, 5), (1700, {"id": "k", "n": 20})], "split", [2, 2, 2, 2, 2]),
-    # a means list of two in the third of three runs, after entries that
-    # are no object or miss a key in the first two
+    "bad_entries": ("json", [(7, 5), (1700, {"id": "k", "n": 20})], "large", [2, 2, 2, 2, 2]),
+    # a means list of two, after entries that are no object or miss a key
     "bad_means": (
         "json",
         [
@@ -540,115 +571,69 @@ SPLIT_CASES = {
             (1700, {"id": "k", "n": 20}),
             (2000, {"id": "m", "n": 20, "means": [1, 2], "sds": [1, 1, 1]}),
         ],
-        "split",
+        "large",
         [2, 2, 2, 2, 2],
     ),
-    # the second of three runs has no study
-    "empty_run": ("json", [(k, None) for k in range(800, 1600)], "split", [2, 2, 2, 2, 2]),
-    # V beyond the float range in the second and third runs, after a bad row
+    # a third of the entries are null
+    "empty_run": ("json", [(k, None) for k in range(800, 1600)], "large", [2, 2, 2, 2, 2]),
+    # V beyond the float range in two studies, after a bad row
     "v_overflow": (
         "csv",
         [(300, "bad,20,x"), (1000, "a,20,1e-320,0,0,1,1,1"), (2000, "b,20,1e-320,0,0,1,1,1")],
-        "split",
+        "large",
         [1, 1, 1, 1, 2],
     ),
-    # each V is 3.3e149: the product of one per run exceeds the float range
+    # each V is 3.3e149: the product of three exceeds the float range
     "product_overflow": (
         "csv",
         [(k, f"big{k},20,1e-150,0,0,1,1,1") for k in (100, 1200, 2300)],
-        "split",
+        "large",
         [1, 1, 1, 1, 1],
     ),
 }
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("case", SPLIT_CASES)
-def test_compute_split_across_processes_gives_the_one_process_report(
-    tmp_path, split_compute, case
-):
-    fmt, edits, source, codes = SPLIT_CASES[case]
-    path = split_ledger(tmp_path, fmt, edits, source=source)
-    got = []
-    for options in [[f"--mode={m}", f"--format={f}"] for m, f in FORMATS] + [["--strict"]]:
-        argv = ["--input", str(path), *options]
-        serial, one = split_compute(argv, 1)
-        assert (one, split_compute(argv, 3)) == (1, (serial, 3)), (case, options)
-        got.append(serial[0])
+@pytest.mark.parametrize("case", LARGE_CASES)
+def test_compute_of_a_large_ledger_gives_its_exit_codes(tmp_path, case):
+    fmt, edits, source, codes = LARGE_CASES[case]
+    path = large_ledger(tmp_path, fmt, edits, source=source)
+    got = [run(["compute", "--input", str(path), *options])[0] for options in OPTIONS]
     assert got == codes
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_compute_split_names_each_json_entry_by_its_place(tmp_path, split_compute):
-    # each run makes its own entries cells, and names a bad one by its place
-    # in the whole ledger
-    path = split_ledger(tmp_path, "json", SPLIT_CASES["bad_means"][1])
-    for processes in (1, 3):
-        (code, out, err), made = split_compute(["--input", str(path)], processes)
-        assert (code, made) == (2, processes) and out
-        assert err == (
-            "error: studies[7]: expected an object with keys id, n, means, sds\n"
-            "error: studies[1700]: missing key 'means'\n"
-            "error: studies[2000]: means and sds must be lists of three numbers\n"
-        )
+def test_compute_forks_no_process(tmp_path, monkeypatch):
+    # where _fork would give two processes and no fork may happen, compute
+    # gives the report of a plain run: it evaluates every study here
+    from evidential import _fork
+
+    edits = [(5, "bad,20,x,0,0,1,1,1"), (600, "big,20,1e-150,0,0,1,1,1")]
+    path = large_ledger(tmp_path, "csv", edits, count=1000)
+    plain = [run(["compute", "--input", str(path), *options]) for options in OPTIONS]
+
+    def no_fork():
+        raise AssertionError("compute forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(_fork, "processes", lambda units, least: 2)
+    assert [run(["compute", "--input", str(path), *options]) for options in OPTIONS] == plain
+    assert [code for code, _, _ in plain] == [2] * 5 and all(out for _, out, _ in plain[:4])
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_compute_with_a_repeated_id_runs_as_one_run(tmp_path, split_compute):
-    # each run checks its own rows for repeats, so a ledger that repeats an
-    # id is one run: the repeat is found wherever it is
-    path = split_ledger(tmp_path, "csv", [(2000, "s5,20,1,2,3,1,1,1")])
-    serial, one = split_compute(["--input", str(path)], 1)
-    assert split_compute(["--input", str(path)], 3) == (serial, 1)
-    code, _, err = serial
-    assert (code, err) == (2, "error: row 2002: duplicate study id 's5' (first at row 7)\n")
-
-
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or not hasattr(os, "fork"),
-    reason="counts threads in /proc/self/task; sets its own CPU affinity",
-)
-def test_compute_splits_only_with_work_cpus_and_one_thread():
-    # in a fresh interpreter, which runs one OS thread (the test process may
-    # run OpenBLAS's): too few rows; enough; on one CPU, as `taskset -c 0`
-    # runs it; and with a second thread
-    code = (
-        "import os, threading\n"
-        "from evidential import _fork, cli\n"
-        "least, cpus = cli._PROCESS_ROWS, os.sched_getaffinity(0)\n"
-        "print(_fork.processes(2 * least - 1, least),"
-        " _fork.processes(2 * least, least) == min(len(cpus), 2))\n"
-        "os.sched_setaffinity(0, {min(cpus)})\n"
-        "print(_fork.processes(10**6, least))\n"
-        "os.sched_setaffinity(0, cpus)\n"
-        "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
-        "print(_fork.processes(10**6, least))\n"
+def test_compute_names_each_json_entry_by_its_place(tmp_path):
+    path = large_ledger(tmp_path, "json", LARGE_CASES["bad_means"][1])
+    code, out, err = run(["compute", "--input", str(path)])
+    assert code == 2 and out
+    assert err == (
+        "error: studies[7]: expected an object with keys id, n, means, sds\n"
+        "error: studies[1700]: missing key 'means'\n"
+        "error: studies[2000]: means and sds must be lists of three numbers\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(evidential.__path__[0])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 True\n1\n1\n", "")
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_compute_run_whose_child_dies_gives_the_serial_report(
-    tmp_path, split_compute, monkeypatch
-):
-    # children that exit non-zero without a word: their runs are worked here
-    from evidential import cli
-
-    path = split_ledger(tmp_path, "csv", [(1000, "bad,20,x,0,0,1,1,1")])
-    argv = ["--input", str(path), "--format", "json"]
-    serial, _ = split_compute(argv, 1)
-    parent, build_rows = os.getpid(), cli.build_rows
-
-    def dying(studies, mode):
-        if os.getpid() != parent:
-            os._exit(3)
-        return build_rows(studies, mode)
-
-    monkeypatch.setattr(cli, "build_rows", dying)
-    assert split_compute(argv, 3) == (serial, 3)
+def test_compute_finds_a_repeat_far_from_its_first_row(tmp_path):
+    path = large_ledger(tmp_path, "csv", [(2000, "s5,20,1,2,3,1,1,1")])
+    code, _, err = run(["compute", "--input", str(path)])
+    assert (code, err) == (2, "error: row 2002: duplicate study id 's5' (first at row 7)\n")
 
 
 # --- threshold ------------------------------------------------------------------
@@ -809,6 +794,11 @@ def test_simulate_command_refuses_a_non_finite_v():
         assert (code, out, err) == (2, "", "error: v must exceed 1 and be finite\n"), v
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_simulate_command_split_across_processes_reports_the_serial_error(monkeypatch):
     from evidential import _fork
 
@@ -823,15 +813,16 @@ SEED_42 = ["simulate", "--n", "20", "--sigma", "1,1,1", "--v", "2", "--reps", "1
            "--seed", "42"]
 
 
-def cold(argv, env=(), flags=(), **kwargs):
+def cold(argv, env=(), flags=(), code=None, **kwargs):
     # a fresh `python -m evidential.cli` as a shell starts it: its OpenBLAS
     # thread count its own, its stdout block-buffered; *env* adds variables,
-    # *flags* interpreter options
+    # *flags* interpreter options, and *code* runs in place of the module
     drop = ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")
     env = {**{k: v for k, v in os.environ.items() if k not in drop}, **dict(env)}
     env["PYTHONPATH"] = os.path.dirname(evidential.__path__[0])
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
-    command = [sys.executable, *flags, "-m", "evidential.cli", *argv]
+    main = ["-m", "evidential.cli"] if code is None else ["-c", code]
+    command = [sys.executable, *flags, *main, *argv]
     return subprocess.Popen(command, env=env, **kwargs)
 
 
@@ -908,24 +899,15 @@ def test_simulate_without_a_descriptor_for_a_pipe_runs_serially():
     assert proc.stdout.splitlines() == readme_seed_42_lines()
 
 
-def interrupt_once_forked(argv, target):
+def interrupt_once(proc, started, target):
     # SIGINT to the caller alone, or to its whole group as a terminal sends
-    # it, as soon as a child exists (even before fork returns in the
-    # caller): no child may outlive the command, and none may finish its
-    # run (seconds of work) before the command ends
-    proc = cold(argv, start_new_session=True)
-    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    # it, once started() says the command has begun its work (seconds of
+    # it): the command must end as interrupted, and no process may outlive it
     try:
         deadline = time.monotonic() + 60
-        while True:
-            try:
-                with open(children) as listing:
-                    if listing.read().split():
-                        break
-            except FileNotFoundError:
-                if proc.poll() is None:
-                    pytest.skip("this kernel lists no children in /proc")
-            assert proc.poll() is None and time.monotonic() < deadline, "never forked"
+        while not started():
+            assert proc.poll() is None and time.monotonic() < deadline, "never started"
+            time.sleep(0.002)
         if target == "caller":
             os.kill(proc.pid, signal.SIGINT)
         else:
@@ -944,26 +926,50 @@ def interrupt_once_forked(argv, target):
     assert not left
 
 
-FORKS = pytest.mark.skipif(
+@pytest.mark.skipif(
     not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
     reason="reads a process's children in /proc; forks only with 2+ CPUs",
 )
-
-
-@FORKS
 @pytest.mark.parametrize("target", ["caller", "group"])
 def test_ctrl_c_leaves_no_simulate_process(target):
-    interrupt_once_forked(
-        ["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "10000000"], target
-    )
+    # interrupted as soon as a child exists (even before fork returns in the
+    # caller): none may finish its run before the command ends
+    proc = cold(["simulate", "--n", "20", "--sigma", "1,1,1", "--reps", "10000000"],
+                start_new_session=True)
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+
+    def forked():
+        try:
+            with open(children) as listing:
+                return bool(listing.read().split())
+        except FileNotFoundError:
+            if proc.poll() is None:
+                pytest.skip("this kernel lists no children in /proc")
+            return False
+
+    interrupt_once(proc, forked, target)
 
 
-@FORKS
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to a process group")
 @pytest.mark.parametrize("target", ["caller", "group"])
 def test_ctrl_c_leaves_no_compute_process(tmp_path, target):
-    # each of two processes evaluates 10 000 studies, for about 0.4 s
-    path = split_ledger(tmp_path, "csv", count=20_000)
-    interrupt_once_forked(["compute", "--input", str(path), "--mode", "exact"], target)
+    # interrupted once build_rows has begun its 20 000 studies (0.4 s of
+    # work or more), which a wrapper marks by making a file
+    path = large_ledger(tmp_path, "csv", count=20_000)
+    begun = tmp_path / "begun"
+    code = (
+        "import sys\n"
+        "from evidential import cli\n"
+        "build_rows = cli.build_rows\n"
+        "def marked(studies, mode):\n"
+        f"    open({str(begun)!r}, 'w').close()\n"
+        "    return build_rows(studies, mode)\n"
+        "cli.build_rows = marked\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["compute", "--input", str(path), "--mode", "exact"]
+    proc = cold(argv, code=code, start_new_session=True)
+    interrupt_once(proc, begun.exists, target)
 
 
 def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, suspect_csv):

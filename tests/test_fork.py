@@ -1,11 +1,12 @@
-import contextlib
 import gc
-import io
 import os
+import subprocess
+import sys
 
 import pytest
 
-from evidential import _fork, cli
+import evidential
+from evidential import _fork
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -71,20 +72,40 @@ def test_a_forked_run_keeps_its_callers_collector_setting(two_runs):
         (gc.enable if was else gc.disable)()
 
 
-def test_a_callers_own_freeze_outlives_forked_runs(two_runs, tmp_path):
+def test_a_callers_own_freeze_outlives_forked_runs(two_runs):
     from evidential.simulate import null_exceedance
 
-    path = tmp_path / "ledger.csv"
-    rows = "".join(f"s{k},20,1,2,{3 + k / 1000},1,1,1\n" for k in range(400))
-    path.write_text("id,n,x1,x2,x3,s1,s2,s3\n" + rows, encoding="utf-8")
     kept = [[k] for k in range(50_000)]
     gc.freeze()
     try:
         null_exceedance(20, (1, 1, 1), 2.0, 100_000, 42)
         assert gc.get_freeze_count() >= len(kept)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["compute", "--input", str(path)]) == 0
-        assert gc.get_freeze_count() >= len(kept)
         assert_no_child_left()
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="counts threads in /proc/self/task; sets its own CPU affinity",
+)
+def test_processes_split_only_with_work_cpus_and_one_thread():
+    # in a fresh interpreter, which runs one OS thread (the test process may
+    # run OpenBLAS's): too few chunks; enough; on one CPU, as `taskset -c 0`
+    # runs it; and with a second thread
+    code = (
+        "import os, threading\n"
+        "from evidential import _fork, simulate\n"
+        "least, cpus = simulate._PROCESS_CHUNKS, os.sched_getaffinity(0)\n"
+        "print(_fork.processes(2 * least - 1, least),"
+        " _fork.processes(2 * least, least) == min(len(cpus), 2))\n"
+        "os.sched_setaffinity(0, {min(cpus)})\n"
+        "print(_fork.processes(10**6, least))\n"
+        "os.sched_setaffinity(0, cpus)\n"
+        "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+        "print(_fork.processes(10**6, least))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(evidential.__path__[0])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 True\n1\n1\n", "")

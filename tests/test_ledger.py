@@ -10,7 +10,6 @@ from evidential.ledger import (
     StudySummary,
     document_rows,
     load_ledger,
-    may_split,
     parse_ledger,
     parse_ledger_lenient,
     study_warnings,
@@ -191,21 +190,40 @@ def test_parse_rejects_duplicate_ids():
         ]
 
 
-def test_may_split_reads_the_ids_of_the_raw_entries():
-    # a JSON id is read as parse_rows reads it, so 5 and "5" repeat; an id
-    # that does not parse is an error of its row, never a repeat
-    def rows(*entries):
-        return document_rows(json.dumps({"studies": entries}))[1]
+def test_repeats_are_found_among_ids_as_they_are_read():
+    # a JSON id is read as text, so 5 and "5" repeat, and stripped, so " a"
+    # and "a " do; an id that does not parse is an error of its row, never a repeat
+    def errors(*entries):
+        return [str(e) for e in parse_ledger_lenient(json.dumps({"studies": entries}))[1]]
 
     def entry(**keys):
         return {"n": 20, "means": [1, 2, 3], "sds": [1, 1, 1], **keys}
 
-    assert not may_split(rows(entry(id=5), entry(id="5")))
-    assert not may_split(rows(entry(id=" a"), entry(id="a ")))
-    assert may_split(rows(*(entry(id=i) for i in (5, "6", 7.5, "7"))))
-    assert may_split(rows(*(entry(id=i) for i in ("", " ", None, True, [5], {"a": 1}, "x"))))
-    others = rows(5, [5], "5", entry(), entry(), entry(id=5))  # no object, or no id
-    assert may_split(others) and not may_split(others + rows(entry(id="5")))
+    assert errors(entry(id=5), entry(id="5")) == [
+        "studies[1]: duplicate study id '5' (first at studies[0])"]
+    assert errors(entry(id=" a"), entry(id="a ")) == [
+        "studies[1]: duplicate study id 'a' (first at studies[0])"]
+    assert errors(*(entry(id=i) for i in (5, "6", 7.5, "7"))) == []
+    unparsed = errors(*(entry(id=i) for i in ("", " ", None, True, [5], {"a": 1}, "x")))
+    assert len(unparsed) == 6 and all(", column id: could not parse" in e for e in unparsed)
+    others = (5, [5], "5", entry(), entry(), entry(id=5))  # no object, or no id
+    assert not any("duplicate" in e for e in errors(*others))
+    assert errors(*others, entry(id="5"))[-1] == (
+        "studies[6]: duplicate study id '5' (first at studies[5])")
+
+
+def test_an_id_no_report_can_write_is_refused_in_both_formats():
+    # JSON spells a lone surrogate as "\ud800"; no UTF-8 report can write
+    # it, so it is an id that does not parse, named like any other
+    for fmt, where in FORMATS:
+        for cell in ("\ud800", "a\udfff b"):
+            text = render(fmt, [GOOD, ALSO_GOOD], [(1, "id", cell)])
+            led, errors = parse_ledger_lenient(text)
+            assert [s.id for s in led] == ["good"], (fmt, cell)
+            assert [str(e) for e in errors] == [
+                f"{where(1)}, column id: could not parse '{cell}'"
+            ], (fmt, cell)
+            assert (errors[0].column, errors[0].study_id) == ("id", None)
 
 
 def test_parse_requires_header():

@@ -593,11 +593,37 @@ LARGE_CASES = {
 }
 
 
+@pytest.fixture()
+def forced_compute(monkeypatch):
+    """Run compute with the number of processes ``_fork`` gives forced, and
+    no fork allowed; give its exit code, stdout and stderr."""
+    from evidential import _fork
+
+    def no_fork():
+        raise AssertionError("compute forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+
+    def compute(argv, processes):
+        monkeypatch.setattr(_fork, "processes", lambda units, least: processes)
+        return run(["compute", *argv])
+
+    return compute
+
+
 @pytest.mark.parametrize("case", LARGE_CASES)
-def test_compute_of_a_large_ledger_gives_its_exit_codes(tmp_path, case):
+def test_compute_split_across_processes_gives_the_one_process_report(
+    tmp_path, forced_compute, case
+):
+    # compute evaluates in one process even where _fork would split
     fmt, edits, source, codes = LARGE_CASES[case]
     path = large_ledger(tmp_path, fmt, edits, source=source)
-    got = [run(["compute", "--input", str(path), *options])[0] for options in OPTIONS]
+    got = []
+    for options in OPTIONS:
+        argv = ["--input", str(path), *options]
+        one = forced_compute(argv, 1)
+        assert forced_compute(argv, 3) == one, (case, options)
+        got.append(one[0])
     assert got == codes
 
 
@@ -619,20 +645,25 @@ def test_compute_forks_no_process(tmp_path, monkeypatch):
     assert [code for code, _, _ in plain] == [2] * 5 and all(out for _, out, _ in plain[:4])
 
 
-def test_compute_names_each_json_entry_by_its_place(tmp_path):
+def test_compute_split_names_each_json_entry_by_its_place(tmp_path, forced_compute):
+    # a bad entry is named by its place in the whole ledger
     path = large_ledger(tmp_path, "json", LARGE_CASES["bad_means"][1])
-    code, out, err = run(["compute", "--input", str(path)])
-    assert code == 2 and out
-    assert err == (
-        "error: studies[7]: expected an object with keys id, n, means, sds\n"
-        "error: studies[1700]: missing key 'means'\n"
-        "error: studies[2000]: means and sds must be lists of three numbers\n"
-    )
+    for processes in (1, 3):
+        code, out, err = forced_compute(["--input", str(path)], processes)
+        assert code == 2 and out
+        assert err == (
+            "error: studies[7]: expected an object with keys id, n, means, sds\n"
+            "error: studies[1700]: missing key 'means'\n"
+            "error: studies[2000]: means and sds must be lists of three numbers\n"
+        )
 
 
-def test_compute_finds_a_repeat_far_from_its_first_row(tmp_path):
+def test_compute_with_a_repeated_id_runs_as_one_run(tmp_path, forced_compute):
+    # the one run checks all rows for repeats: a repeat is found wherever it is
     path = large_ledger(tmp_path, "csv", [(2000, "s5,20,1,2,3,1,1,1")])
-    code, _, err = run(["compute", "--input", str(path)])
+    one = forced_compute(["--input", str(path)], 1)
+    assert forced_compute(["--input", str(path)], 3) == one
+    code, _, err = one
     assert (code, err) == (2, "error: row 2002: duplicate study id 's5' (first at row 7)\n")
 
 

@@ -1,8 +1,9 @@
 """Contiguous runs of work, one per CPU this process may run on.
 
-:func:`forked_map` cuts the work into runs, works the first here and
-each other run in a child forked from this process, which sends its
-result through a pipe as ``marshal`` data and leaves by ``os._exit``.
+:func:`forked_map` cuts *count* units of work into runs of at least
+*least* units, whose lengths differ by at most one.  It works the first
+here and each other run in a child forked from this process, which sends
+its result through a pipe as ``marshal`` data and leaves by ``os._exit``.
 The results are those of working every run here, in order: a run whose
 pipe or child could not be made, or whose child fails or sends nothing,
 is worked here again, which raises the error a serial run raises, and an
@@ -32,22 +33,20 @@ def processes(units, least):
     return max(1, min(cpus, units // least))
 
 
-def runs(count, chunk, processes):
-    """range(count) as contiguous runs ``(start, stop)`` of whole chunks of
-    *chunk* units (the last may be partial), one per process but at most
-    one per chunk, whose counts of chunks differ by at most one."""
-    chunks = -(-count // chunk)
-    processes = min(processes, chunks)
-    starts = [chunks * i // processes * chunk for i in range(processes)]
+def runs(count, processes):
+    """range(count) as contiguous runs ``(start, stop)``, one per process
+    but never an empty one, whose lengths differ by at most one."""
+    processes = min(processes, count)
+    starts = [count * i // processes for i in range(processes)]
     return list(zip(starts, starts[1:] + [count]))
 
 
-def forked_map(work, count, chunk, least):
+def forked_map(work, count, least):
     """``[work(start, stop) for start, stop in spans]`` as ``marshal`` data
     reads back, every span after the first worked in a forked child: the
-    :func:`runs` of *count* units in chunks of *chunk*, one per process of
-    at least *least* chunks.  No child outlives its return or raise."""
-    spans = runs(count, chunk, processes(count // chunk, least))
+    :func:`runs` of *count* units, one per process of at least *least*
+    units.  No child outlives its return or raise."""
+    spans = runs(count, processes(count, least))
     if len(spans) < 2:
         return [work(*run) for run in spans]
     import signal  # here, so that loading the command line never loads it

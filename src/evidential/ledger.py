@@ -141,12 +141,23 @@ def _number(cell, quotient: bool = False):
     return None
 
 
+#: the characters that no line of a report or a diagnostic may hold: the C0
+#: controls but the tab, which breaks no line, the C1 controls and the line
+#: and paragraph separators, each mapped to its escape as ``repr`` spells
+#: it (``\n``, ``\x00``, ``\u2028``)
+_CONTROLS = {c: repr(chr(c))[1:-1]
+             for c in (*range(0x09), *range(0x0A, 0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
+
 def _id(cell):
     """A cell as a study id: text stripped like a CSV cell, if that leaves
-    any and UTF-8 can write it, or a JSON number's text; else None.  A JSON
-    string can spell a lone surrogate (``"\\ud800"``), which no report can write."""
+    any, holds none of the ``_CONTROLS`` and UTF-8 can write it, or a JSON
+    number's text; else None.  A JSON string can spell a lone surrogate
+    (``"\\ud800"``), which no report can write."""
     if type(cell) in (str, int, float):  # not a bool, null, list or object
         text = str(cell).strip()
+        if not text.isprintable() and not _CONTROLS.keys().isdisjoint(map(ord, text)):
+            return None
         try:
             text.encode()
         except UnicodeEncodeError:
@@ -156,8 +167,9 @@ def _id(cell):
 
 
 def _spelled(cell) -> str:
-    # a cell as its input spells it: text as it is, any other JSON value as JSON
-    return cell if type(cell) is str else json.dumps(cell)
+    # a cell as its input spells it, on one line: text with its _CONTROLS
+    # escaped, any other JSON value as JSON
+    return cell.translate(_CONTROLS) if type(cell) is str else json.dumps(cell)
 
 
 def _csv_rows(text: str, source: str):
@@ -216,7 +228,7 @@ def document_rows(text: str, source: str = "<string>"):
             return source, _csv_rows(text, source)
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise LedgerError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("studies"), list):
             raise LedgerError(f"{source}: a JSON ledger must be an object with a 'studies' list")

@@ -15,10 +15,10 @@ replications.  It computes the chunk's PCG64 state words on uint64 limbs
 in one call (:func:`_pcg64_states`).  Then, block by block, each
 replication writes its words into the generator's memory (through its
 state dict where a probe of that memory fails, see :func:`_state_setter`)
-and draws into a shared buffer, and one pass that forms each mean once
-gives the means and sds of the whole block (:func:`_summaries`, the same
-floats as :func:`simulate_study`'s ``mean`` and ``std``).  The chunk is
-then decided at once in numpy by the engine's own formula,
+and draws into a shared buffer.  numpy's ``mean``, and its ``std`` from
+that mean (``std(mean=...)``), give the means and sds of the whole block
+(:func:`_summaries`, the same floats as :func:`simulate_study`'s).  The
+chunk is then decided at once in numpy by the engine's own formula,
 :func:`~evidential.engine.log_value`.  log V is non-increasing in
 ``r = |Z_V|`` and in the floor ratio ``q``, and the engine's r and q lie
 between those of the float contrast lowered and raised by a bound on its
@@ -30,9 +30,9 @@ and rows with a zero paper floor are decided by
 :func:`~evidential.engine.evidential_value`, so the estimate is the
 per-replication loop's, bit for bit.
 
-:func:`evidential._fork.forked_map` cuts the chunks into contiguous runs
-of at least ``_PROCESS_CHUNKS`` whole chunks, one per CPU: the first run
-is counted here, each other run in a child forked once numpy (with its
+:func:`evidential._fork.forked_map` cuts the replications into contiguous
+runs of at least ``_PROCESS_CHUNKS`` chunks' worth, one per CPU: the first
+run is counted here, each other run in a child forked once numpy (with its
 one OpenBLAS thread, so that this process runs the one OS thread a fork
 needs), the generator and the buffers exist.  The estimate is a sum of
 per-replication integer decisions, each drawn from its own stream, so it
@@ -180,11 +180,11 @@ _LOG_TOL = 1e-9
 #: + _SLACK_FLOOR, and the engine's q is within 4 * _SLACK of numpy's
 _SLACK, _SLACK_FLOOR = 4.0 * sys.float_info.epsilon, 2.0**-1070
 
-#: fewest whole seeding chunks worth a process of their own.  A fork and
-#: its reaping take about 2 ms.  On a 2-CPU VM at n = 20, 8 chunks took
-#: 80-91 ms in two processes against 135-158 ms in one; at 1 or 2 chunks
-#: per process the split lost whenever the scheduler kept the child on its
-#: parent's CPU (2 chunks: 46 ms against 36 ms)
+#: fewest seeding chunks' worth of replications for a process of its own.
+#: A fork and its reaping take about 2 ms.  On a 2-CPU VM at n = 20, 8
+#: chunks took 80-91 ms in two processes against 135-158 ms in one; at 1
+#: or 2 chunks per process the split lost whenever the scheduler kept the
+#: child on its parent's CPU (2 chunks: 46 ms against 36 ms)
 _PROCESS_CHUNKS = 4
 
 #: numpy's SeedSequence hash constants and PCG64's multiplier (low and high
@@ -303,21 +303,14 @@ def _log_values(r, q):
     return -np.log(s) + 0.5 * (r * r - t * t)
 
 
-def _summaries(data, n, means, sds):
+def _summaries(data, means, sds):
     """Write ``data.mean(axis=2)`` into *means* and ``data.std(axis=2,
-    ddof=1)`` into *sds*, bit for bit, from one mean: the ufunc steps of
-    numpy's own ``_mean`` and ``_var``.  *data* is overwritten.
-    """
+    ddof=1)`` into *sds*, the standard deviations from that one mean."""
     np = _numpy()
     with np.errstate(all="ignore"):
-        mean = np.add.reduce(data, axis=2, keepdims=True)
-        mean /= n
+        mean = data.mean(axis=2, keepdims=True)
         means[...] = mean[..., 0]
-        np.subtract(data, mean, out=data)
-        np.square(data, out=data)
-        np.add.reduce(data, axis=2, out=sds)
-        sds /= n - 1
-        np.sqrt(sds, out=sds)
+        sds[...] = data.std(axis=2, ddof=1, mean=mean)
 
 
 def _count_exceeding(means, sds, n, v_threshold):
@@ -396,10 +389,10 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
                 _standard_normals(block, words[first:], set_state, normal)
                 with np.errstate(all="ignore"):
                     data = scale * block[:, 1:]
-                _summaries(data, params.n, means[first:last], sds[first:last])
+                _summaries(data, means[first:last], sds[first:last])
             total += _count_exceeding(means[: len(words)], sds[: len(words)], params.n, v_threshold)
         return total
 
-    count = sum(_fork.forked_map(count_run, reps, len(means), _PROCESS_CHUNKS))
+    count = sum(_fork.forked_map(count_run, reps, _PROCESS_CHUNKS * len(means)))
     p = count / reps
     return SimulationReport(reps, seed, float(v_threshold), p, math.sqrt(p * (1.0 - p) / reps))

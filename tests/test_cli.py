@@ -483,6 +483,33 @@ def test_compute_malformed_ledger_is_an_input_error(tmp_path, name):
         assert str(path) in err
 
 
+def json_loads_refuses(name):
+    # JSON that json.loads refuses other than by JSONDecodeError: nested past
+    # the recursion limit (RecursionError), or an integer of more digits
+    # than int() converts (ValueError)
+    if name == "deep.json":
+        return b'{"studies": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    entry = b'{"id": "a", "n": %s, "means": [1, 2, 3], "sds": [1, 1, 1]}' % (b"1" * (limit + 1))
+    return b'{"studies": [%s]}' % entry
+
+
+@pytest.mark.parametrize("name", ["deep.json", "digits.json"])
+def test_compute_json_that_json_loads_refuses_is_invalid_json(tmp_path, name):
+    # in-process and cold: the error of a malformed document, which names
+    # the file, then the report's own "no studies"; no traceback
+    path = tmp_path / name
+    path.write_bytes(json_loads_refuses(name))
+    proc = cold(["compute", "--input", str(path)])
+    out, err = proc.communicate(timeout=60)
+    for code, out, err in (run(["compute", "--input", str(path)]), (proc.returncode, out, err)):
+        first, *rest = err.splitlines()
+        assert (code, out, rest) == (2, "", ["error: no studies"])
+        assert first.startswith(f"error: {path}: invalid JSON: ")
+
+
 def test_compute_partial_output_and_strict(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(
@@ -514,6 +541,21 @@ def test_compute_refuses_by_name_an_id_no_report_can_write(tmp_path, fmt):
         assert [row["id"] for row in json.loads(out)["rows"]] == ["a"]
     else:
         assert out.splitlines()[1].startswith("a ")
+
+
+def test_compute_refuses_an_id_that_would_forge_lines_of_the_table(tmp_path):
+    # an id with line breaks would print lines of its own, such as a fake
+    # footer above the real one: it is refused, on one line of stderr
+    forged = "s1\nproduct V: 1.00\nposterior odds (prior 1): 1.00"
+    entry = '{"id": %s, "n": 20, "means": [1, 2, %d], "sds": [1, 1, 1]}'
+    path = tmp_path / "forged.json"
+    entries = entry % (json.dumps(forged), 3), entry % ('"ok"', 4)
+    path.write_text('{"studies": [%s, %s]}' % entries, encoding="utf-8")
+    proc = cold(["compute", "--input", str(path)])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, "error: studies[0], column id: could not parse "
+                                         "'s1\\nproduct V: 1.00\\nposterior odds (prior 1): 1.00'\n")
+    assert out.splitlines()[1].startswith("ok ") and out.count("product V:") == 1
 
 
 # --- compute of a large ledger ----------------------------------------------

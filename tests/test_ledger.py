@@ -226,6 +226,37 @@ def test_an_id_no_report_can_write_is_refused_in_both_formats():
             assert (errors[0].column, errors[0].study_id) == ("id", None)
 
 
+#: the controls (but the tab) and separators that a CSV line can hold (str.splitlines
+#: ends a line at the others), those only JSON can spell, and their escapes
+CSV_CONTROLS = {"\x00": "\\x00", "\x08": "\\x08", "\x1f": "\\x1f", "\x7f": "\\x7f", "\x9f": "\\x9f"}
+JSON_CONTROLS = {"\n": "\\n", "\r": "\\r", "\x0b": "\\x0b", "\x85": "\\x85",
+                 "\u2028": "\\u2028", "\u2029": "\\u2029"}
+
+
+def test_an_id_that_breaks_a_line_is_refused_in_both_formats():
+    # an id with a control or a line separator would break a line of the
+    # table, or forge one: it is an id that does not parse, and its error
+    # spells those characters escaped, so that it stays one line
+    for fmt, where in FORMATS:
+        controls = {**CSV_CONTROLS, **({} if fmt.startswith("csv") else JSON_CONTROLS)}
+        for char, escaped in controls.items():
+            text = render(fmt, [GOOD, ALSO_GOOD], [(1, "id", f"a{char}b")])
+            led, errors = parse_ledger_lenient(text)
+            assert [s.id for s in led] == ["good"], (fmt, char)
+            assert [str(e) for e in errors] == [
+                f"{where(1)}, column id: could not parse 'a{escaped}b'"
+            ], (fmt, char)
+            assert (errors[0].column, errors[0].study_id) == ("id", None)
+        # any column's text is spelled the same way
+        errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "2\x000")]))[1]
+        assert [str(e) for e in errors] == [f"{where(0)}, column n: could not parse '2\\x000'"]
+        # a tab breaks no line, and a no-break space is no control, though
+        # str.isprintable says False to both
+        for kept in ("a\tb", "a\xa0b"):
+            led = parse_ledger(render(fmt, [GOOD, ALSO_GOOD], [(1, "id", kept)]))
+            assert [s.id for s in led] == ["good", kept], fmt
+
+
 def test_parse_requires_header():
     with pytest.raises(LedgerError, match="header"):
         parse_ledger("1,20,1,2,3,1,1,1\n")

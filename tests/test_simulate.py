@@ -414,23 +414,29 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_runs_are_contiguous_whole_chunks_balanced_by_replications():
+def test_runs_are_contiguous_and_balanced_by_replications(monkeypatch):
     from evidential import _fork
 
-    assert _fork.runs(100_000, 4096, 2) == [(0, 49152), (49152, 100_000)]
-    assert _fork.runs(12289, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 12289)]
-    # never more runs than chunks, and never an empty one
-    assert _fork.runs(4097, 4096, 3) == [(0, 4096), (4096, 4097)]
-    assert _fork.runs(8193, 4096, 3) == [(0, 4096), (4096, 8192), (8192, 8193)]
-    assert _fork.runs(1000, 4096, 2) == [(0, 1000)]
-    for reps in (1000, 4096, 4097, 12289, 100_000):
+    assert _fork.runs(100_000, 2) == [(0, 50_000), (50_000, 100_000)]
+    assert _fork.runs(12289, 3) == [(0, 4096), (4096, 8192), (8192, 12289)]
+    # never more runs than units, and never an empty one
+    assert _fork.runs(2, 3) == [(0, 1), (1, 2)]
+    assert _fork.runs(1000, 1) == [(0, 1000)]
+    for reps in (1, 2, 1000, 4096, 4097, 12289, 100_000):
         for count in range(1, 8):
-            runs = _fork.runs(reps, 3808, count)
+            runs = _fork.runs(reps, count)
+            assert len(runs) == min(reps, count)
             assert runs[0][0] == 0 and runs[-1][1] == reps
-            assert all(start % 3808 == 0 and start < stop for start, stop in runs)
+            assert all(start < stop for start, stop in runs)
             assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
-            # no run is longer than ⌈chunks / count⌉ chunks
-            assert all(stop - start <= -(-reps // 3808 // count) * 3808 for start, stop in runs)
+            # their lengths differ by at most one
+            lengths = [stop - start for start, stop in runs]
+            assert max(lengths) - min(lengths) <= 1
+    # simulate asks for 4 seeding chunks' worth a process: 16 384 at n = 20
+    asked = []
+    monkeypatch.setattr(_fork, "processes", lambda units, least: asked.append((units, least)) or 1)
+    null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=1000, seed=0)
+    assert asked == [(1000, 16_384)]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -510,7 +516,7 @@ def test_block_summaries_are_numpys_mean_and_std_bit_for_bit(n):
             data = np.asarray(sigma, dtype=float)[:, None] * normals
             means, sds = np.empty((2, len(data), 3))
             expected_means, expected_sds = data.mean(axis=2), data.std(axis=2, ddof=1)
-        simulate._summaries(data, n, means, sds)
+        simulate._summaries(data, means, sds)
         assert np.array_equal(means.view(np.uint64), expected_means.view(np.uint64)), sigma
         assert np.array_equal(sds.view(np.uint64), expected_sds.view(np.uint64)), sigma
     assert np.isinf(sds[:, 0]).any()

@@ -193,8 +193,9 @@ def _compute(args) -> tuple[int, str]:
         sys.stderr.write("error: --strict forbids partial output\n")
         return EXIT_INPUT, ""
     report = build_rows(studies, args.mode)
-    if not report:
-        sys.stderr.write("error: no studies\n")
+    if not report:  # said only where no diagnostic above says why
+        if not errors:
+            sys.stderr.write("error: no studies\n")
         return EXIT_INPUT, ""
     values = [r.value for r in report]
     combined = engine.combine(values, prior_odds=args.prior_odds)

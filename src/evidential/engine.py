@@ -204,11 +204,10 @@ def empirical_tail_fraction(values: Sequence[EvidentialValue], v: float) -> floa
 
     The empirical counterpart of :func:`null_tail_probability`, useful when
     a corpus of comparable studies serves as the reference population.
-    Each value is an EvidentialValue or a ``(lower, upper)`` pair.
     """
     if not values:
         raise ValueError("no studies")
-    return sum(1 for ev in values if ev[0] >= v) / len(values)
+    return sum(1 for ev in values if ev.lower >= v) / len(values)
 
 
 class CombinedEvidence(
@@ -227,15 +226,14 @@ def combine(values: Sequence[EvidentialValue], prior_odds: float = 1.0) -> Combi
 
     Interval-valued entries are combined by interval arithmetic; an
     unbounded upper end is absorbing.  Posterior odds are
-    ``prior_odds * product`` on both ends.  Each value is an
-    EvidentialValue or a ``(lower, upper)`` pair, read by position.
+    ``prior_odds * product`` on both ends.
     """
     if not values:
         raise ValueError("no studies")
     if not prior_odds > 0:
         raise ValueError("prior_odds must be positive")
     ends = []
-    for factors in ([ev[0] for ev in values], [ev[1] for ev in values]):
+    for factors in ([ev.lower for ev in values], [ev.upper for ev in values]):
         product = math.prod(factors)
         if math.isinf(prior_odds * product) and all(map(math.isfinite, factors)):
             what = "" if math.isinf(product) else " times the prior odds"

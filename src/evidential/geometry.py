@@ -107,21 +107,27 @@ def exact_infimum_sq(sds) -> float:
     s1, s2, s3 = sds
     if not (s1 > 0 and s2 > 0 and s3 > 0):
         raise ValueError("sds must be positive")
-    return _exact_gap(s1, 2.0 * s2, s3, sds, 1.0) ** 2
+    top = max(s1, 2.0 * s2, s3)
+    return max(0.0, _decided(2.0 * top - (s1 + 2.0 * s2 + s3), top, sds, 1.0, _deficit)) ** 2
 
 
-def _exact_gap(w1, w2, w3, sds, unit):
-    # max(0, 2*max(w) - sum(w)) for w = (s1, 2*s2, s3)/unit, unit a power of
-    # two; a deficit too close to zero for the float sign is decided in
-    # decimal from the sds as given, like the contrast, so sds whose printed
-    # decimals close a triangle give an exact zero
-    top = max(w1, w2, w3)
-    deficit = 2.0 * top - (w1 + w2 + w3)
-    if abs(deficit) <= 1e-12 * top:
-        d1, d2, d3 = (Decimal(repr(float(s))) for s in sds)
-        low, mid, high = sorted((d1, 2 * d2, d3))
-        deficit = float(_EXACT.subtract(_EXACT.subtract(high, mid), low)) / unit
-    return max(0.0, deficit)
+def _decided(gap, top, sds, unit, exact):
+    # a gap between sds, in units of unit (a power of two): one too close to
+    # zero for the float sign is exact(d1, d2, d3) of the sds as given, in
+    # decimal, like the contrast, so sds whose printed decimals close it give
+    # an exact zero
+    if abs(gap) <= 1e-12 * top:
+        gap = float(exact(*(Decimal(repr(float(s))) for s in sds))) / unit
+    return gap
+
+
+def _deficit(d1, d2, d3):  # 2*max(w) - sum(w); 2*s2 - (s1 + s3) where 2*s2 is the max
+    low, mid, high = sorted((d1, 2 * d2, d3))
+    return _EXACT.subtract(_EXACT.subtract(high, mid), low)
+
+
+def _mixed(d1, d2, d3):  # 2*s2 - hypot(s1, s3)
+    return _EXACT.subtract(2 * d2, _EXACT.sqrt(_EXACT.fma(d1, d1, _EXACT.multiply(d3, d3))))
 
 
 class VarianceProfile(namedtuple("VarianceProfile", "z_v z_c q_paper q_exact")):
@@ -149,9 +155,14 @@ def variance_profile(study) -> VarianceProfile:
     s1, s2, s3 = s1 / unit, s2 / unit, s3 / unit
     w2 = 2.0 * s2
     s0 = math.hypot(s1, w2, s3)
+    # the floors' gaps: the paper corner, its mixed point and the exact deficit
+    top = max(s1, w2, s3)
+    corner = _decided(w2 - (s1 + s3), top, sds, unit, _deficit)
+    mixed = _decided(w2 - math.hypot(s1, s3), top, sds, unit, _mixed)
+    deficit = _decided(2.0 * top - (s1 + w2 + s3), top, sds, unit, _deficit)
     # q_exact <= q_paper <= 1 holds in exact arithmetic; the mins keep it in floats
-    paper = min(abs(w2 - (s1 + s3)), abs(w2 - math.hypot(s1, s3)), s0)
-    exact = min(_exact_gap(s1, w2, s3, sds, unit), paper)
+    paper = min(abs(corner), abs(mixed), s0)
+    exact = min(max(0.0, deficit), paper)
     z = contrast(study.means)
     root_n_z = math.sqrt(study.n) * (z / unit)
     z_v = root_n_z / s0

@@ -2,9 +2,10 @@
 
 A "study" here is one three-cell ANOVA result as printed in a publication:
 the per-cell sample size ``n``, the three cell means and the three cell
-standard deviations.  Collections of studies are kept in a
-:class:`StudyLedger` and are read from a small CSV dialect (hand-typed
-tables) or a JSON mapping (tooling).
+standard deviations.  A ledger document, in a small CSV dialect (hand-typed
+tables) or a JSON mapping (tooling), gives rows of one shape
+(:func:`document_rows`), and :func:`parse_rows` makes them the studies of a
+:class:`StudyLedger`.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _spelled(cell) -> str:
 
 
 def _csv_rows(text: str, source: str):
-    """The data lines under the mandatory header, as ``(line number, cells)``,
+    """The data lines under the mandatory header, as ``(row N, N, cells)``,
     or as the error of a line without ``len(COLUMNS)`` cells."""
     rows = []
     header_seen = False
@@ -183,44 +184,44 @@ def _csv_rows(text: str, source: str):
             continue
         cells = [c.strip() for c in line.split(",")]
         if header_seen:
-            rows.append((lineno, cells) if len(cells) == len(COLUMNS) else LedgerError(
-                f"row {lineno}: expected {len(COLUMNS)} columns, got {len(cells)}", row=lineno))
+            name = f"row {lineno}"
+            rows.append((name, lineno, cells) if len(cells) == len(COLUMNS) else LedgerError(
+                f"{name}: expected {len(COLUMNS)} columns, got {len(cells)}", row=lineno))
         elif tuple(c.lower() for c in cells) == COLUMNS:
             header_seen = True
         else:
-            raise LedgerError(
-                f"row {lineno}: header must be '{','.join(COLUMNS)}', got '{line}'",
-                row=lineno,
-            )
+            raise LedgerError(f"row {lineno}: header must be '{','.join(COLUMNS)}', got '{line}'",
+                              row=lineno)
     if not header_seen:
         raise LedgerError(f"{source}: no header row found; expected '{','.join(COLUMNS)}'")
     return rows
 
 
-def _json_cells(entry):
-    """One ``studies`` entry as ``COLUMNS`` cells, or the text of its error."""
+def _json_row(k, entry):
+    """The k-th ``studies`` entry as ``(studies[k], None, cells)``, or as its error."""
+    name = f"studies[{k}]"
     if not isinstance(entry, dict):
-        return "expected an object with keys id, n, means, sds"
+        return LedgerError(f"{name}: expected an object with keys id, n, means, sds")
     means, sds = entry.get("means"), entry.get("sds")
     if "id" in entry and "n" in entry and isinstance(means, list) and isinstance(sds, list):
         if len(means) == len(sds) == 3:
-            return [entry["id"], entry["n"], *means, *sds]
-    missing = [f"missing key '{key}'" for key in ("id", "n", "means", "sds") if key not in entry]
-    return (missing or ["means and sds must be lists of three numbers"])[0]
+            return name, None, [entry["id"], entry["n"], *means, *sds]
+    problems = [f"missing key '{key}'" for key in ("id", "n", "means", "sds") if key not in entry]
+    problems.append("means and sds must be lists of three numbers")
+    return LedgerError(f"{name}: {problems[0]}")
 
 
 def document_rows(text: str, source: str = "<string>"):
     """The rows of a ledger document, as ``(source, rows)`` for
-    :func:`parse_rows`.  One leading UTF-8 byte-order mark, as spreadsheet
-    exports write, is dropped.  CSV: UTF-8, comma-delimited, mandatory header
-    ``id,n,x1,x2,x3,s1,s2,s3``, comment lines start with ``#``; a row is
-    ``(line number, cells)``, named ``row N``.  JSON (sniffed by a leading
-    ``{`` or ``[``): ``{"studies": [{"id", "n", "means", "sds"}, ...]}`` with
-    an optional top-level ``source``, which replaces *source*; the rows are
-    the ``studies`` entries as :func:`json.loads` gives them, named
-    ``studies[k]``, and :func:`parse_rows` makes them cells.  A malformed
-    document (no or bad CSV header, invalid JSON, no ``studies`` list) is
-    one row that is its error.
+    :func:`parse_rows`: each row is ``(name, line number or None, cells)``,
+    or the :class:`LedgerError` of a line, entry or document that cannot be
+    read, so a malformed document (no or bad CSV header, invalid JSON, no
+    ``studies`` list) is one row.  One leading UTF-8 byte-order mark is
+    dropped.  CSV: UTF-8, comma-delimited, mandatory header
+    ``id,n,x1,x2,x3,s1,s2,s3``, ``#`` comment lines; a data line is ``row N``.
+    JSON (sniffed by a leading ``{`` or ``[``): ``{"studies": [{"id", "n",
+    "means", "sds"}, ...]}`` with an optional top-level ``source``, which
+    replaces *source*; the k-th entry is ``studies[k]``.
     """
     text = text.removeprefix("\ufeff")
     try:
@@ -232,43 +233,32 @@ def document_rows(text: str, source: str = "<string>"):
             raise LedgerError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("studies"), list):
             raise LedgerError(f"{source}: a JSON ledger must be an object with a 'studies' list")
-        return doc.get("source", source), doc["studies"]
+        return doc.get("source", source), [_json_row(k, e) for k, e in enumerate(doc["studies"])]
     except LedgerError as exc:
         return source, [exc]
 
 
-def _name(row, k) -> str:
-    # a row as errors name it: by its CSV line, or by its place in the studies list
-    return f"row {row[0]}" if type(row) is tuple else f"studies[{k}]"
-
-
 def parse_rows(rows):
-    """``(studies, errors)`` of :func:`document_rows`' rows: rows that fail to
-    parse, rows whose :class:`StudySummary` construction fails (the error gets
-    the row attached) and repeated ids are errors.  Cells are numbers or their
-    text; ``n`` also accepts quotients like ``141/6``.
+    """``(studies, errors)`` of :func:`document_rows`' rows: rows that are
+    errors or fail to parse, rows whose :class:`StudySummary` construction
+    fails (the error gets the row attached) and repeated ids are errors.
+    Cells are numbers or their text; ``n`` also accepts quotients like ``141/6``.
     """
     studies: list[StudySummary] = []
     errors: list[LedgerError] = []
-    seen: dict[str, int] = {}  # each id's row
-    for k, row in enumerate(rows):
-        if type(row) is tuple:  # a CSV line
-            lineno, cells = row
-        elif isinstance(row, LedgerError):  # a line, or a document, that is its error
+    seen: dict[str, str] = {}  # each id's row name
+    for row in rows:
+        if isinstance(row, LedgerError):
             errors.append(row)
             continue
-        else:  # a JSON entry
-            lineno, cells = None, _json_cells(row)
-            if type(cells) is str:
-                errors.append(LedgerError(f"studies[{k}]: {cells}"))
-                continue
+        name, lineno, cells = row
         study_id, n = _id(cells[0]), _number(cells[1], True)
         numbers = tuple(map(_number, cells[2:]))
         if study_id is None or n is None or None in numbers:
             errors += [
-                LedgerError(f"{_name(row, k)}, column {name}: could not parse '{_spelled(cell)}'",
-                            row=lineno, column=name, study_id=study_id)
-                for name, cell, value in zip(COLUMNS, cells, (study_id, n, *numbers))
+                LedgerError(f"{name}, column {column}: could not parse '{_spelled(cell)}'",
+                            row=lineno, column=column, study_id=study_id)
+                for column, cell, value in zip(COLUMNS, cells, (study_id, n, *numbers))
                 if value is None
             ]
             continue
@@ -278,11 +268,10 @@ def parse_rows(rows):
             exc.row = lineno
             errors.append(exc)
             continue
-        first = seen.setdefault(study_id, k)
-        if first != k:
-            where = _name(rows[first], first)
-            errors.append(LedgerError(f"{_name(row, k)}: duplicate study id '{study_id}' "
-                                      f"(first at {where})", row=lineno, study_id=study_id))
+        first = seen.setdefault(study_id, name)
+        if first != name:
+            errors.append(LedgerError(f"{name}: duplicate study id '{study_id}' "
+                                      f"(first at {first})", row=lineno, study_id=study_id))
             continue
         studies.append(study)
     return studies, errors

@@ -498,16 +498,60 @@ def json_loads_refuses(name):
 
 @pytest.mark.parametrize("name", ["deep.json", "digits.json"])
 def test_compute_json_that_json_loads_refuses_is_invalid_json(tmp_path, name):
-    # in-process and cold: the error of a malformed document, which names
-    # the file, then the report's own "no studies"; no traceback
+    # in-process and cold: the one error of a malformed document, which
+    # names the file; no traceback
     path = tmp_path / name
     path.write_bytes(json_loads_refuses(name))
     proc = cold(["compute", "--input", str(path)])
     out, err = proc.communicate(timeout=60)
     for code, out, err in (run(["compute", "--input", str(path)]), (proc.returncode, out, err)):
         first, *rest = err.splitlines()
-        assert (code, out, rest) == (2, "", ["error: no studies"])
+        assert (code, out, rest) == (2, "", [])
         assert first.startswith(f"error: {path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("content", [
+    b'{"studies": [',  # truncated JSON
+    b"idx,n,x1\n1,2,3\n",  # a bad header
+    b"# nothing but a comment\n",  # no header
+    HEADER_LINE + b"a,20,1,2,3,1,0,1\nb,20,1,2\n",  # only bad rows
+], ids=["truncated-json", "bad-header", "no-header", "only-bad-rows"])
+def test_compute_says_no_studies_only_where_no_other_diagnostic_says_why(tmp_path, content):
+    # each diagnostic names its cause, so none is followed by a bare "no studies"
+    path = tmp_path / "ledger"
+    path.write_bytes(content)
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "no studies" not in err
+
+
+#: zero contrasts whose sds give 2*s2 = s1 + s3 in decimal, which floats miss
+#: by about 1e-16: the eight such rows of inputs.generate(s, 3000) for s = 1..40
+#: (seeds 6, 9, 15, 18, 24, 24, 25, 36), then 2.99,2.98,2.97, and one row
+#: whose sds give 2*s2 = hypot(s1, s3)
+CLOSING_ROWS = (
+    "5.49,4.32,3.15,2.64,2.47,2.3", "6.49,5.86,5.23,2.78,2.22,1.66",
+    "2.0,3.39,4.78,0.58,0.64,0.7", "6.65,8.13,9.61,1.47,1.14,0.81",
+    "6.01,6.89,7.77,0.44,0.46,0.48", "0.81,1.74,2.67,0.75,0.83,0.91",
+    "10.07,8.89,7.71,2.86,2.68,2.5", "7.0,6.0,5.0,0.46,0.42,0.38",
+    "1,2,3,2.99,2.98,2.97", "1,2,3,0.16,0.17,0.30",
+)
+
+
+def test_compute_gives_the_point_infinity_where_printed_sds_close_the_paper_floor(tmp_path):
+    # the paper floor is zero, as the exact one is, so V is the point ∞ in both modes
+    path = tmp_path / "closing.csv"
+    path.write_text(HEADER_LINE.decode() + "".join(
+        f"r{k},20,{row}\n" for k, row in enumerate(CLOSING_ROWS)), encoding="utf-8")
+    count = len(CLOSING_ROWS)
+    for mode in ("paper", "exact"):
+        code, out, err = run(["compute", "--input", str(path), "--mode", mode])
+        assert (code, err) == (0, "")
+        assert [line.split()[4] for line in out.splitlines()[1:count + 1]] == ["∞"] * count
+        code, out, err = run(["compute", "--input", str(path), "--mode", mode, "--format", "json"])
+        rows = json.loads(out)["rows"]
+        assert [(r["v_lower"], r["v_upper"], r["v_rendered"]) for r in rows] == [
+            (None, None, "∞")] * count, mode
 
 
 def test_compute_partial_output_and_strict(tmp_path):

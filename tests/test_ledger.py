@@ -12,6 +12,7 @@ from evidential.ledger import (
     load_ledger,
     parse_ledger,
     parse_ledger_lenient,
+    parse_rows,
     study_warnings,
     validate,
 )
@@ -277,6 +278,52 @@ def test_malformed_document_is_one_error():
         assert len(errors) == 1 and message in str(errors[0]), text
         with pytest.raises(LedgerError, match=re.escape(message)):
             parse_ledger(text, source="doc")
+
+
+def test_document_rows_give_every_row_one_shape():
+    # a row is (name, line number or None, cells); a line, entry or document
+    # that cannot be read is its own LedgerError, named as its row
+    source, rows = document_rows(HEADER + "\na, 20,1,2,3,1,1,1\nb,20,1\n", "doc")
+    assert (source, rows[0]) == ("doc", ("row 2", 2, ["a", "20", "1", "2", "3", "1", "1", "1"]))
+    assert type(rows[1]) is LedgerError and rows[1].row == 3
+    assert str(rows[1]) == "row 3: expected 8 columns, got 3"
+    entry = {"id": "a", "n": 20, "means": [1, 2, 3.5], "sds": [1, 1, 1]}
+    no_n = {key: cell for key, cell in entry.items() if key != "n"}
+    doc = {"source": "paper", "studies": [entry, [entry], no_n, {**entry, "means": [1, 2]}]}
+    source, rows = document_rows(json.dumps(doc), "doc")
+    assert (source, rows[0]) == ("paper", ("studies[0]", None, ["a", 20, 1, 2, 3.5, 1, 1, 1]))
+    assert all(type(row) is LedgerError for row in rows[1:])
+    assert [str(row) for row in rows[1:]] == [
+        "studies[1]: expected an object with keys id, n, means, sds",
+        "studies[2]: missing key 'n'",
+        "studies[3]: means and sds must be lists of three numbers",
+    ]
+    source, rows = document_rows('{"studies": [', "doc")
+    assert source == "doc" and len(rows) == 1 and type(rows[0]) is LedgerError
+    assert str(rows[0]).startswith("doc: invalid JSON: ")
+
+
+def test_one_ledger_as_csv_and_as_json_gives_the_same_studies_and_errors():
+    # a bad cell, an invalid study, an unreadable id and a repeated id: the
+    # same studies and error texts in both formats, but for the row names
+    bad = StudySummary("bad", 20, (1, 2, 3), (1, 1, 1))
+    studies = [GOOD, ALSO_GOOD, bad, StudySummary("x", 5, (1, 2, 3), (1, 1, 1)), GOOD, bad]
+    edits = [(1, "x3", "x"), (2, "s2", "0"), (3, "id", "\x00"), (5, "n", "141/6")]
+    parsed = {}
+    for fmt, where in FORMATS:
+        found, errors = parse_rows(document_rows(render(fmt, studies, edits))[1])
+        texts = [str(e) for e in errors]
+        for k in range(len(studies)):
+            texts = [text.replace(where(k), f"<{k}>") for text in texts]
+        parsed[fmt] = found, texts
+    assert parsed["csv"][1] == [
+        "<1>, column x3: could not parse 'x'",
+        "study 'bad': sds must be positive",
+        "<3>, column id: could not parse '\\x00'",
+        "<4>: duplicate study id 'good' (first at <0>)",
+    ]
+    assert parsed["csv"][0] == [GOOD, bad._replace(n=23.5)]
+    assert all(result == parsed["csv"] for result in parsed.values())
 
 
 def test_comments_and_blank_lines_are_skipped():

@@ -49,14 +49,28 @@ def contrast(means) -> float:
 
     Published tables carry exact decimals, and whether the contrast is
     exactly zero decides between a finite and an unbounded evidential
-    value.  Evaluating through :class:`~decimal.Decimal` (via ``repr``,
-    which recovers the shortest decimal form of a float) guarantees that
-    decimally-zero contrasts come out as exact zeros instead of 1e-16
-    noise.  The sum is exact (:data:`_EXACT`), so means of very different
-    magnitudes cannot cancel wrongly and their order does not matter.
+    value.  So it is the exact sum of the means' shortest decimals
+    (``repr``), rounded once: decimally-zero contrasts are exact zeros, not
+    1e-16 noise, and means of any magnitudes and order cannot cancel wrongly.
+
+    Where each ``x * 10**6`` lies below 2**52 (|x| below about 4.5e9) and
+    ``m = round(x * 10**6)`` gives ``m / 10**6 == x``, the sum is
+    ``(m1 - 2*m2 + m3) / 10**6`` in ints, correctly rounded: the float
+    spacing there is below 1e-6, so ``m / 10**6`` is the one decimal of at
+    most 6 places that rounds to x, the value of ``repr(x)``.  Other means,
+    larger ones and a zero sum (whose sign the decimal rules decide) are
+    added in :class:`~decimal.Decimal` (:data:`_EXACT`).
     """
-    x1, x2, x3 = map(Decimal, map(repr, map(float, means)))
-    return float(_EXACT.subtract(_EXACT.add(x1, x3), _EXACT.add(x2, x2)))
+    x1, x2, x3 = map(float, means)
+    u1, u2, u3 = x1 * 1e6, x2 * 1e6, x3 * 1e6
+    if -2.0**52 < u1 < 2.0**52 and -2.0**52 < u2 < 2.0**52 and -2.0**52 < u3 < 2.0**52:
+        m1, m2, m3 = round(u1), round(u2), round(u3)
+        if m1 / 10**6 == x1 and m2 / 10**6 == x2 and m3 / 10**6 == x3:
+            total = m1 - 2 * m2 + m3
+            if total:
+                return total / 10**6
+    d1, d2, d3 = map(Decimal, map(repr, (x1, x2, x3)))
+    return float(_EXACT.subtract(_EXACT.add(d1, d3), _EXACT.add(d2, d2)))
 
 
 def paper_lower_bound_sq(sds) -> float:
@@ -157,9 +171,12 @@ def variance_profile(study) -> VarianceProfile:
     s0 = math.hypot(s1, w2, s3)
     # the floors' gaps: the paper corner, its mixed point and the exact deficit
     top = max(s1, w2, s3)
-    corner = _decided(w2 - (s1 + s3), top, sds, unit, _deficit)
-    mixed = _decided(w2 - math.hypot(s1, s3), top, sds, unit, _mixed)
-    deficit = _decided(2.0 * top - (s1 + w2 + s3), top, sds, unit, _deficit)
+    corner, mixed, deficit = w2 - (s1 + s3), w2 - math.hypot(s1, s3), 2.0 * top - (s1 + w2 + s3)
+    near = 1e-12 * top  # _decided's test, made once for the three
+    if abs(corner) <= near or abs(mixed) <= near or abs(deficit) <= near:
+        corner = _decided(corner, top, sds, unit, _deficit)
+        mixed = _decided(mixed, top, sds, unit, _mixed)
+        deficit = _decided(deficit, top, sds, unit, _deficit)
     # q_exact <= q_paper <= 1 holds in exact arithmetic; the mins keep it in floats
     paper = min(abs(corner), abs(mixed), s0)
     exact = min(max(0.0, deficit), paper)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from pathlib import Path
 
 #: Mandatory CSV header, fixed order.
 COLUMNS = ("id", "n", "x1", "x2", "x3", "s1", "s2", "s3")
@@ -253,7 +252,9 @@ def parse_rows(rows):
             continue
         name, lineno, cells = row
         study_id, n = _id(cells[0]), _number(cells[1], True)
-        numbers = tuple(map(_number, cells[2:]))
+        x1, x2, x3, s1, s2, s3 = numbers = tuple(cells[2:])
+        if not type(x1) is type(x2) is type(x3) is type(s1) is type(s2) is type(s3) is float:
+            numbers = tuple(map(_number, numbers))  # _number takes a float as it is
         if study_id is None or n is None or None in numbers:
             errors += [
                 LedgerError(f"{name}, column {column}: could not parse '{_spelled(cell)}'",
@@ -296,5 +297,7 @@ def parse_ledger(text: str, source: str = "<string>") -> StudyLedger:
 
 def load_ledger(path) -> StudyLedger:
     """Read and parse a ledger file (CSV or JSON, sniffed by content)."""
+    from pathlib import Path  # here, so that loading the command line never loads it
+
     p = Path(path)
     return parse_ledger(p.read_text(encoding="utf-8"), source=str(p))

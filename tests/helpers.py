@@ -11,7 +11,9 @@ shares code with the production closed form
 :func:`conditional_null_tail` is the model reference for the Monte Carlo
 estimate of :func:`evidential.simulate.null_exceedance`, and
 :func:`json_rows_oracle` the reference for the rows of a JSON report: a dict
-per row through ``json.dumps``.
+per row through ``json.dumps``, and :func:`contrast_oracle` the reference for
+:func:`evidential.geometry.contrast`: the means' shortest decimals as
+fractions.
 
 The correlation body and its contrast sd, the plug-in density, the
 error-copying generator and the ledger writers are here too: the tests
@@ -21,6 +23,7 @@ use them, and no command does.
 import json
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import erf
@@ -459,6 +462,26 @@ def serialize_ledger(ledger) -> str:
         fields += [f"{x:.12g}" for x in s.sds]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+# --- the mean contrast -------------------------------------------------------
+
+
+def contrast_oracle(means) -> float:
+    """x1 - 2*x2 + x3 summed exactly over the fractions of the means'
+    shortest decimals (``repr``), as a float: correctly rounded, ±inf past
+    the float range.  An exact zero is -0.0 only where IEEE addition gives
+    it, ``(-0.0 + -0.0) - (0.0 + 0.0)``."""
+    x1, x2, x3 = (Fraction(repr(float(x))) for x in means)
+    total = x1 - 2 * x2 + x3
+    if total:
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+    # signs (-, +, -) with a zero sum: x1 = x3 = -0.0 and x2 = 0.0
+    signs = tuple(math.copysign(1.0, x) for x in means)
+    return -0.0 if signs == (-1.0, 1.0, -1.0) else 0.0
 
 
 # --- JSON report rows --------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evidential import geometry
 from evidential.geometry import (
     contrast,
     exact_infimum_sq,
@@ -18,6 +20,7 @@ from helpers import (
     GeometryError,
     brute_force_infimum_sq,
     combined_sd,
+    contrast_oracle,
     elliptope_det,
     is_interior,
     numeric_infimum_sq,
@@ -96,6 +99,91 @@ def test_contrast_is_decimal_exact():
     assert contrast((5.1, 5.1, 5.1)) == 0.0
     # exact in any order, however far apart the magnitudes
     assert contrast((1e-30, 5e29, 1e30)) == contrast((1e30, 5e29, 1e-30)) == 1e-30
+
+
+@st.composite
+def printed_means(draw):
+    # a mean as a table prints it: 0 to 8 decimal places, up to 1e10 in
+    # magnitude, on both sides of the integer path's bound 2**52 * 1e-6
+    places = draw(st.integers(0, 8))
+    digits = draw(st.integers(-(10 ** (10 + places)), 10 ** (10 + places)))
+    return float(f"{digits}e-{places}")
+
+
+#: floats on both sides of 2**52 * 1e-6 = 4503599627.370496, with up to
+#: about 7 decimal places
+near_bound = st.floats(4.4e9, 4.6e9) | st.floats(-4.6e9, -4.4e9)
+
+
+def _same_contrast(means):
+    # repr, so that the sign of a zero counts
+    assert repr(contrast(means)) == repr(contrast_oracle(means)), means
+
+
+@given(st.tuples(*[printed_means() | near_bound] * 3))
+@example((4503599627.370496, 0.0, 0.0))
+@example((4503599627.370497, 1.0, -4503599627.370495))
+@example((-0.0, 0.0, -0.0))
+# above the bound the float spacing is 2**-19: round(x * 10**6) = 9000000000000019
+# gives x back, yet repr(x) is 9000000000.00002, and the contrast is 2e-05
+@example((9000000000.00002, 0.0, -9e9))
+@settings(max_examples=500, deadline=None)
+def test_contrast_of_printed_means_is_the_decimal_sum(means):
+    _same_contrast(means)
+
+
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+@example((1.7e308, -1.7e308, 1.7e308))
+@example((-1.7e308, 1.7e308, -1.7e308))
+@example((5e-324, -0.0, -5e-324))
+@example((0.0, -0.0, 0.0))
+@settings(max_examples=500, deadline=None)
+def test_contrast_of_any_finite_means_is_the_decimal_sum(means):
+    _same_contrast(means)
+
+
+@given(printed_means(), printed_means())
+@settings(max_examples=300, deadline=None)
+def test_contrast_on_the_zero_line_is_zero(x1, x2):
+    # x3 = 2*x2 - x1 in decimal; a float holds it where it has at most 17
+    # significant digits, and then the contrast is an exact (positive) zero
+    x3 = float(2 * Decimal(repr(x2)) - Decimal(repr(x1)))
+    _same_contrast((x1, x2, x3))
+    if contrast_oracle((x1, x2, x3)) == 0.0:
+        assert repr(contrast((x1, x2, x3))) == "0.0"
+
+
+def _no_decimal(*args):
+    raise AssertionError("the decimal path ran")
+
+
+def test_table_studies_take_the_integer_path(monkeypatch, suspect, reference):
+    # every bundled study with a nonzero contrast, and no floor gap near
+    # zero, is computed without Decimal: a change that quietly drops the
+    # integer path fails here
+    studies = [s for s in list(suspect) + list(reference) if contrast(s.means)]
+    profiles = [variance_profile(s) for s in studies]
+    monkeypatch.setattr(geometry, "Decimal", _no_decimal)
+    assert studies
+    assert [variance_profile(s) for s in studies] == profiles
+    assert all(contrast(s.means) for s in studies)
+
+
+@pytest.mark.parametrize(
+    "sds",
+    # the decimal floor's examples of test_value_is_scale_free_across_the_float_range
+    [(0.1, 27.2, 54.3), (1.6e-4, 1.7e-4, 3.0e-4)],
+)
+def test_a_floor_gap_near_zero_still_goes_to_decimal(monkeypatch, sds):
+    # the corner 2*s2 - (s1 + s3) of the first and the mixed point
+    # 2*s2 - hypot(s1, s3) of the second are zero in decimal and about
+    # 1e-16 in floats: variance_profile's one test of its three gaps sends
+    # them to _decided, whose decimal branch makes the gap an exact zero
+    calls = []
+    real = geometry.Decimal
+    monkeypatch.setattr(geometry, "Decimal", lambda text: calls.append(text) or real(text))
+    profile = variance_profile(StudySummary("d", 20, (0.0, 0.0, 0.01), sds))
+    assert calls and profile.q_paper == 0.0
 
 
 def test_paper_lower_bound_examples():

@@ -11,12 +11,14 @@ import evidential
 SRC = os.path.dirname(evidential.__path__[0])
 
 
-def _run(code, *args, env=None):
-    # *env* adds variables; OPENBLAS_NUM_THREADS is set only through it
+def _run(code, *args, env=None, flags=()):
+    # *env* adds variables; OPENBLAS_NUM_THREADS is set only through it;
+    # *flags* go to the interpreter
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     environ.update(env or {}, PYTHONPATH=SRC)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=environ, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code, *args],
+        env=environ, capture_output=True, text=True, timeout=60,
     )
 
 
@@ -60,6 +62,14 @@ def test_cli_import_loads_no_ctypes():
 def test_cli_import_loads_no_signal():
     # simulate imports signal only where it forks, to kill its children
     proc = _run("import sys, evidential.cli\nprint('signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_pathlib():
+    # only load_ledger needs pathlib (and the fnmatch and urllib.parse it
+    # loads); -S, because a .pth file that site runs may load it anyway
+    proc = _run("import sys, evidential.cli\nprint('pathlib' in sys.modules)", flags=("-S",))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

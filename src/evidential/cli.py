@@ -29,6 +29,7 @@ EXIT_INPUT = 2
 #: 320 digits hold any finite float (the default 28 overflow at ~1e26)
 _WIDE = Context(prec=320)
 _CENT = Decimal("0.01")
+_TAIL_V = 2.0  # the footer gives the empirical share of studies with V >= _TAIL_V
 
 
 def _arithmetic(exc: Exception) -> str:
@@ -94,7 +95,7 @@ def _fmt_z(x: float) -> str:
     return f"{x:+.4e}" if abs(x) >= 1e6 else f"{x:+.4f}"
 
 
-def _render_table(rows, combined, tail_v, tail_fraction) -> str:
+def _render_table(rows, combined, tail_fraction) -> str:
     header = ("id", "n", "means", "sds", "V", "Z_V", "Z_C", "case", "")
     body = [
         (
@@ -121,7 +122,7 @@ def _render_table(rows, combined, tail_v, tail_fraction) -> str:
     lines.append(f"posterior odds (prior {combined.prior_odds:g}): {post}")
     studies = len(rows)
     count = round(tail_fraction * studies)  # the count it was divided from
-    lines.append(f"empirical share with V >= {tail_v:g}: {count}/{studies} = {tail_fraction:.4f}")
+    lines.append(f"empirical share with V >= {_TAIL_V:g}: {count}/{studies} = {tail_fraction:.4f}")
     notes = [f"  study '{r.study.id}': {note}" for r in rows for note in r.notes]
     if notes:
         lines.append("notes:")
@@ -148,14 +149,14 @@ def _json_rows(rows) -> str:
     return f"[{', '.join(texts)}]"
 
 
-def _render_json(rows, mode, combined, tail_v, tail_fraction, source, errors) -> str:
+def _render_json(rows, mode, combined, tail_fraction, source, errors) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "source": source,
         "mode": mode,
         "rows": [],
         "combined": {key: None if math.isinf(x) else x for key, x in combined._asdict().items()},
-        "empirical_tail": {"v": tail_v, "fraction": tail_fraction},
+        "empirical_tail": {"v": _TAIL_V, "fraction": tail_fraction},
         "errors": errors,
     }
     # one line, which ``python -m json.tool`` pretty-prints: the frame by
@@ -199,12 +200,11 @@ def _compute(args) -> tuple[int, str]:
         return EXIT_INPUT, ""
     values = [r.value for r in report]
     combined = engine.combine(values, prior_odds=args.prior_odds)
-    tail_v = 2.0
-    tail = engine.empirical_tail_fraction(values, tail_v)
+    tail = engine.empirical_tail_fraction(values, _TAIL_V)
     if args.format == "json":
-        out = _render_json(report, args.mode, combined, tail_v, tail, source, errors)
+        out = _render_json(report, args.mode, combined, tail, source, errors)
     else:
-        out = _render_table(report, combined, tail_v, tail)
+        out = _render_table(report, combined, tail)
     return EXIT_INPUT if errors else EXIT_OK, out
 
 

@@ -20,16 +20,17 @@ is
                   - 4 s1 s2 rho3 + 2 s1 s3 rho2 - 4 s2 s3 rho1)
 
 This module gives the infimum of ``s^2`` over the variance-reducing part
-of the admissible region in closed form, and the paper's proxy for it, and
-collects the scale quantities of a study, as ratios to
-``s0 = s(0, 0, 0)``, in one :class:`VarianceProfile`.
+of the admissible region in closed form, and the paper's proxy for it.
+``_scales`` computes a study's scales once: ``s0 = s(0, 0, 0)``, the
+pooled sd and both floors.  :class:`VarianceProfile` holds them as ratios
+to ``s0``, and the two ``*_sq`` functions are the floors' squares.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 
 __all__ = [
     "VarianceProfile",
@@ -79,19 +80,19 @@ def paper_lower_bound_sq(sds) -> float:
     ``min{(2 s2 - (s1 + s3))^2, (2 s2 - sqrt(s1^2 + s3^2))^2}``: the first
     candidate is the variance at the all-ones corner of the correlation
     body, the second the variance at the boundary point
-    ``(s3, 0, s1) / sqrt(s1^2 + s3^2)``.
+    ``(s3, 0, s1) / sqrt(s1^2 + s3^2)``.  It is the square of the paper
+    floor that :func:`variance_profile` computes.
     """
-    s1, s2, s3 = sds
-    first = (2.0 * s2 - (s1 + s3)) ** 2
-    second = (2.0 * s2 - math.sqrt(s1 * s1 + s3 * s3)) ** 2
-    return min(first, second)
+    unit, _, _, paper, _ = _scales(sds)
+    return (unit * paper) ** 2
 
 
 def exact_infimum_sq(sds) -> float:
     """Infimum of s^2(rho) over the variance-reducing admissible region.
 
     Writing ``w = (s1, 2*s2, s3)``, the value is
-    ``max(0, 2*max(w) - (w1 + w2 + w3))^2``.
+    ``max(0, 2*max(w) - (w1 + w2 + w3))^2``, the square of the exact floor
+    that :func:`variance_profile` computes.
 
     Proof.  Every positive semidefinite correlation matrix is the Gram
     matrix of three unit vectors ``v1, v2, v3`` (and every such Gram matrix
@@ -121,27 +122,43 @@ def exact_infimum_sq(sds) -> float:
     s1, s2, s3 = sds
     if not (s1 > 0 and s2 > 0 and s3 > 0):
         raise ValueError("sds must be positive")
-    top = max(s1, 2.0 * s2, s3)
-    return max(0.0, _decided(2.0 * top - (s1 + 2.0 * s2 + s3), top, sds, 1.0, _deficit)) ** 2
+    unit, _, _, _, exact = _scales(sds)
+    return (unit * exact) ** 2
 
 
-def _decided(gap, top, sds, unit, exact):
-    # a gap between sds, in units of unit (a power of two): one too close to
-    # zero for the float sign is exact(d1, d2, d3) of the sds as given, in
-    # decimal, like the contrast, so sds whose printed decimals close it give
-    # an exact zero
-    if abs(gap) <= 1e-12 * top:
-        gap = float(exact(*(Decimal(repr(float(s))) for s in sds))) / unit
-    return gap
+def _scales(sds):
+    # (unit, s0, the pooled sd of Z_C, the paper floor, the exact floor), all
+    # but unit in units of the largest power of two not above max(sds): an
+    # exact rescaling that squares nothing, so they hold across the float range
+    unit = math.ldexp(1.0, math.frexp(max(sds))[1] - 1)
+    s1, s2, s3 = sds[0] / unit, sds[1] / unit, sds[2] / unit
+    w2 = 2.0 * s2
+    # the floors' gaps: the paper corner, its mixed point and the exact deficit
+    top = max(s1, w2, s3)
+    corner, mixed, deficit = w2 - (s1 + s3), w2 - math.hypot(s1, s3), 2.0 * top - (s1 + w2 + s3)
+    near = 1e-12 * top
+    if abs(corner) <= near or abs(mixed) <= near or abs(deficit) <= near:
+        corner, mixed, deficit = _decided(sds, unit, near, corner, mixed, deficit)
+    s0 = math.hypot(s1, w2, s3)
+    # exact <= paper <= s0 holds in exact arithmetic; the mins keep it in floats
+    paper = min(abs(corner), abs(mixed), s0)
+    # the pooled sd sqrt(2*(s1^2 + s2^2 + s3^2)) is a hypot of six
+    return unit, s0, math.hypot(s1, s2, s3, s1, s2, s3), paper, min(max(0.0, deficit), paper)
 
 
-def _deficit(d1, d2, d3):  # 2*max(w) - sum(w); 2*s2 - (s1 + s3) where 2*s2 is the max
-    low, mid, high = sorted((d1, 2 * d2, d3))
-    return _EXACT.subtract(_EXACT.subtract(high, mid), low)
-
-
-def _mixed(d1, d2, d3):  # 2*s2 - hypot(s1, s3)
-    return _EXACT.subtract(2 * d2, _EXACT.sqrt(_EXACT.fma(d1, d1, _EXACT.multiply(d3, d3))))
+def _decided(sds, unit, near, corner, mixed, deficit):
+    # a gap too close to zero for the float sign is recomputed from the sds
+    # as given, in decimal like the contrast, and put in units of unit: sds
+    # whose printed decimals close it give an exact zero
+    with localcontext(_EXACT):
+        d1, d2, d3 = (Decimal(repr(float(s))) for s in sds)
+        if abs(corner) <= near:
+            corner = float(2 * d2 - (d1 + d3)) / unit
+        if abs(mixed) <= near:
+            mixed = float(2 * d2 - (d1 * d1 + d3 * d3).sqrt()) / unit
+        if abs(deficit) <= near:
+            deficit = float(2 * max(d1, 2 * d2, d3) - (d1 + 2 * d2 + d3)) / unit
+    return corner, mixed, deficit
 
 
 class VarianceProfile(namedtuple("VarianceProfile", "z_v z_c q_paper q_exact")):
@@ -161,31 +178,12 @@ def variance_profile(study) -> VarianceProfile:
 
     It computes and does not validate: a
     :class:`~evidential.ledger.StudySummary` is checked when it is made.
-    It works in units of the largest power of two not above max(sds), an
-    exact rescaling, and squares nothing, so it holds across the float range.
     """
-    s1, s2, s3 = sds = study.sds
-    unit = math.ldexp(1.0, math.frexp(max(sds))[1] - 1)
-    s1, s2, s3 = s1 / unit, s2 / unit, s3 / unit
-    w2 = 2.0 * s2
-    s0 = math.hypot(s1, w2, s3)
-    # the floors' gaps: the paper corner, its mixed point and the exact deficit
-    top = max(s1, w2, s3)
-    corner, mixed, deficit = w2 - (s1 + s3), w2 - math.hypot(s1, s3), 2.0 * top - (s1 + w2 + s3)
-    near = 1e-12 * top  # _decided's test, made once for the three
-    if abs(corner) <= near or abs(mixed) <= near or abs(deficit) <= near:
-        corner = _decided(corner, top, sds, unit, _deficit)
-        mixed = _decided(mixed, top, sds, unit, _mixed)
-        deficit = _decided(deficit, top, sds, unit, _deficit)
-    # q_exact <= q_paper <= 1 holds in exact arithmetic; the mins keep it in floats
-    paper = min(abs(corner), abs(mixed), s0)
-    exact = min(max(0.0, deficit), paper)
+    unit, s0, pooled, paper, exact = _scales(study.sds)
     z = contrast(study.means)
     root_n_z = math.sqrt(study.n) * (z / unit)
     z_v = root_n_z / s0
     if z and not z_v:
         # below the float range: V is unbounded only at a zero contrast
         z_v = math.copysign(math.ulp(0.0), z)
-    # the pooled sd sqrt(2*(s1^2 + s2^2 + s3^2)) is a hypot of six
-    z_c = root_n_z / math.hypot(s1, s2, s3, s1, s2, s3)
-    return tuple.__new__(VarianceProfile, (z_v, z_c, paper / s0, exact / s0))
+    return tuple.__new__(VarianceProfile, (z_v, root_n_z / pooled, paper / s0, exact / s0))

@@ -219,8 +219,8 @@ def document_rows(text: str, source: str = "<string>"):
     dropped.  CSV: UTF-8, comma-delimited, mandatory header
     ``id,n,x1,x2,x3,s1,s2,s3``, ``#`` comment lines; a data line is ``row N``.
     JSON (sniffed by a leading ``{`` or ``[``): ``{"studies": [{"id", "n",
-    "means", "sds"}, ...]}`` with an optional top-level ``source``, which
-    replaces *source*; the k-th entry is ``studies[k]``.
+    "means", "sds"}, ...]}`` with an optional top-level ``source`` string,
+    which replaces *source*; the k-th entry is ``studies[k]``.
     """
     text = text.removeprefix("\ufeff")
     try:
@@ -232,6 +232,8 @@ def document_rows(text: str, source: str = "<string>"):
             raise LedgerError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("studies"), list):
             raise LedgerError(f"{source}: a JSON ledger must be an object with a 'studies' list")
+        if not isinstance(doc.get("source", source), str):
+            raise LedgerError(f"{source}: a JSON ledger's 'source' must be a string")
         return doc.get("source", source), [_json_row(k, e) for k, e in enumerate(doc["studies"])]
     except LedgerError as exc:
         return source, [exc]

@@ -13,7 +13,9 @@ estimate of :func:`evidential.simulate.null_exceedance`, and
 :func:`json_rows_oracle` the reference for the rows of a JSON report: a dict
 per row through ``json.dumps``, and :func:`contrast_oracle` the reference for
 :func:`evidential.geometry.contrast`: the means' shortest decimals as
-fractions.
+fractions.  :func:`floors_oracle` is the reference for the floors whose
+squares :mod:`evidential.geometry`'s helpers return, from the sds' shortest
+decimals as fractions.
 
 The correlation body and its contrast sd, the plug-in density, the
 error-copying generator and the ledger writers are here too: the tests
@@ -23,6 +25,7 @@ use them, and no command does.
 import json
 import math
 from collections import namedtuple
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -482,6 +485,23 @@ def contrast_oracle(means) -> float:
     # signs (-, +, -) with a zero sum: x1 = x3 = -0.0 and x2 = 0.0
     signs = tuple(math.copysign(1.0, x) for x in means)
     return -0.0 if signs == (-1.0, 1.0, -1.0) else 0.0
+
+
+def floors_oracle(sds) -> tuple[float, float]:
+    """The paper and exact floors of the contrast sd, ``(paper, exact)``,
+    from the fractions of the sds' shortest decimals (``repr``), as floats.
+
+    Corner and deficit are exact.  The mixed point ``|2*s2 - sqrt(S)|``,
+    ``S = s1^2 + s3^2``, is ``|4*s2^2 - S| / (2*s2 + sqrt(S))``: an exact
+    numerator over a sum that cancels nothing, so a 60-digit root gives it
+    to full float precision, and an exact zero where ``4*s2^2 == S``."""
+    s1, s2, s3 = (Fraction(repr(float(s))) for s in sds)
+    w = (s1, 2 * s2, s3)
+    squares = s1 * s1 + s3 * s3
+    with localcontext(Context(prec=60)):
+        root = Fraction((Decimal(squares.numerator) / squares.denominator).sqrt())
+    mixed = abs(w[1] * w[1] - squares) / (w[1] + root)
+    return float(min(abs(w[1] - (s1 + s3)), mixed)), float(max(0, 2 * max(w) - sum(w)))
 
 
 # --- JSON report rows --------------------------------------------------------

@@ -483,6 +483,17 @@ def test_compute_malformed_ledger_is_an_input_error(tmp_path, name):
         assert str(path) in err
 
 
+@pytest.mark.parametrize("value", ["NaN", '{"x": [1, 2]}', "null"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_compute_refuses_a_json_source_that_is_not_a_string(tmp_path, value, fmt):
+    path = tmp_path / "source.json"
+    entry = '{"id": "a", "n": 20, "means": [1, 2, 3], "sds": [1, 1, 1]}'
+    path.write_text('{"source": %s, "studies": [%s]}' % (value, entry), encoding="utf-8")
+    code, out, err = run(["compute", "--input", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: a JSON ledger's 'source' must be a string\n"
+
+
 def json_loads_refuses(name):
     # JSON that json.loads refuses other than by JSONDecodeError: nested past
     # the recursion limit (RecursionError), or an integer of more digits

@@ -1,9 +1,10 @@
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evidential import geometry
@@ -22,6 +23,7 @@ from helpers import (
     combined_sd,
     contrast_oracle,
     elliptope_det,
+    floors_oracle,
     is_interior,
     numeric_infimum_sq,
     random_interior_rho,
@@ -204,6 +206,81 @@ def test_paper_lower_bound_picks_the_smaller_candidate():
     assert first == pytest.approx(0.2809, abs=1e-9)
     assert second == pytest.approx(1.1490281400517925, abs=1e-9)
     assert paper_lower_bound_sq((s1, s2, s3)) == min(first, second)
+
+
+def test_floor_helpers_regressions():
+    # the corner 2*2.98 - (2.99 + 2.97) is zero in decimal and 8.9e-16 in floats
+    assert paper_lower_bound_sq((2.99, 2.98, 2.97)) == 0.0
+    assert exact_infimum_sq((2.99, 2.98, 2.97)) == 0.0
+    # here s1*s1 + s3*s3 overflows, and the mixed point must still win
+    assert paper_lower_bound_sq((1e154, 0.7e154, 1e154)) == pytest.approx(
+        2.020253553338642e304, rel=1e-12, abs=0
+    )
+
+
+def test_floor_helpers_underflow_to_zero_or_raise_past_the_float_range():
+    # the floors are 2e-200 and 2e300; their squares are not floats
+    assert paper_lower_bound_sq((1e-200, 2e-200, 1e-200)) == 0.0
+    with pytest.raises(OverflowError):
+        paper_lower_bound_sq((1e300, 2e300, 1e300))
+    with pytest.raises(OverflowError):
+        exact_infimum_sq((1e300, 2e300, 1e-300))
+
+
+#: an sd as tables print it, to 2 decimal places
+hundredths = st.integers(1, 99_999).map(lambda k: k / 100)
+
+
+@st.composite
+def floor_sds(draw):
+    # 2-decimal sds, or a triple whose decimals close a floor (the corner,
+    # the deficit or a Pythagorean mixed point), at a power-of-two scale
+    # from 2**-500 to 2**500
+    kind = draw(st.sampled_from(["any", "corner", "deficit", "mixed"]))
+    a, b = draw(st.integers(1, 9_999)), draw(st.integers(1, 9_999))
+    if kind == "any":
+        sds = (draw(hundredths), draw(hundredths), draw(hundredths))
+    elif kind == "corner":  # 2*s2 = s1 + s3
+        b += (a + b) % 2
+        sds = (a / 100, (a + b) // 2 / 100, b / 100)
+    elif kind == "deficit":  # s1 = 2*s2 + s3
+        sds = ((2 * a + b) / 100, a / 100, b / 100)
+    else:  # (2*s2)^2 = s1^2 + s3^2
+        p, q, r = draw(st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]))
+        sds = (2 * p * a / 100, r * a / 100, 2 * q * a / 100)
+    if draw(st.booleans()):
+        sds = sds[::-1]
+    scale = draw(st.integers(-500, 500))
+    return tuple(math.ldexp(s, scale) for s in sds)
+
+
+@given(floor_sds())
+@example((2.99, 2.98, 2.97))
+@example((1e154, 0.7e154, 1e154))
+# s1 is the largest of w = (s1, 2*s2, s3) and the corner is near zero
+@example((1.0, 0.4999999999999, 1e-13))
+@settings(max_examples=500, deadline=None)
+def test_floor_helpers_are_the_decimal_floors_squared(sds):
+    floors = floors_oracle(sds)
+    # kept where the squares are normal floats
+    assume(all(f == 0 or sys.float_info.min <= f * f < math.inf for f in floors))
+    tolerance = 4 * sys.float_info.epsilon * max(sds[0], 2 * sds[1], sds[2])
+    for helper, floor in zip((paper_lower_bound_sq, exact_infimum_sq), floors):
+        got = helper(sds)
+        assert (got == 0.0) == (floor == 0.0), (helper.__name__, floor)
+        assert abs(math.sqrt(got) - floor) <= tolerance, (helper.__name__, floor)
+
+
+def test_variance_profile_decides_a_near_corner_as_the_corner():
+    # 2*s2 - (s1 + s3) is -3e-13 and near zero, while s1 is the largest of
+    # w: in decimal the corner is that gap, not the deficit 2*max(w) - sum(w)
+    # (1e-13), and the paper floor is the mixed point's 2e-13
+    sds = (1.0, 0.4999999999999, 1e-13)
+    profile = variance_profile(StudySummary("c", 20, (0.0, 0.0, 0.01), sds))
+    s0 = math.hypot(1.0, 0.9999999999998, 1e-13)
+    paper, exact = floors_oracle(sds)
+    assert profile.q_paper == pytest.approx(paper / s0, rel=1e-12, abs=0)
+    assert profile.q_exact == pytest.approx(exact / s0, rel=1e-12, abs=0)
 
 
 def test_exact_infimum_examples_against_both_oracles():

@@ -272,6 +272,10 @@ def test_malformed_document_is_one_error():
         ("[1, 2]", "doc: a JSON ledger must be an object with a 'studies' list"),
         ('{"studies": 5}', "doc: a JSON ledger must be an object"),
         ('{"studies": [', "doc: invalid JSON"),
+        # a report writes the source where a name goes; NaN is no strict JSON
+        ('{"source": NaN, "studies": []}', "doc: a JSON ledger's 'source' must be a string"),
+        ('{"source": {"x": [1, 2]}, "studies": []}', "doc: a JSON ledger's 'source' must be"),
+        ('{"source": null, "studies": []}', "doc: a JSON ledger's 'source' must be"),
     ):
         led, errors = parse_ledger_lenient(text, source="doc")
         assert len(led) == 0 and led.source == "doc"

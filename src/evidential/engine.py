@@ -230,8 +230,8 @@ def combine(values: Sequence[EvidentialValue], prior_odds: float = 1.0) -> Combi
     """
     if not values:
         raise ValueError("no studies")
-    if not prior_odds > 0:
-        raise ValueError("prior_odds must be positive")
+    if not 0 < prior_odds < math.inf:
+        raise ValueError("prior_odds must be positive and finite")
     ends = []
     for factors in ([ev.lower for ev in values], [ev.upper for ev in values]):
         product = math.prod(factors)

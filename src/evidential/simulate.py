@@ -104,21 +104,27 @@ def _whole(value, least, message):
     return whole
 
 
+def _three_finite(values, name):
+    # values as three finite floats, each given as a number or as its text
+    try:  # a string is one text, not three ("111" is not three ones)
+        values = () if isinstance(values, str) else tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        values = ()
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise ParameterError(f"{name} must be three finite numbers")
+    return values
+
+
 class ModelParams(namedtuple("ModelParams", "mu sigma n")):
     """Ground-truth parameters of one simulated study, checked when made."""
 
     __slots__ = ()
 
     def __new__(cls, mu, sigma, n):
-        mu = tuple(float(x) for x in mu)
-        sigma = tuple(float(s) for s in sigma)
-        if len(mu) != 3 or len(sigma) != 3:
-            raise ParameterError("mu and sigma must have exactly three entries")
-        if not all(math.isfinite(x) for x in mu + sigma):
-            raise ParameterError("mu and sigma must be finite")
+        mu, sigma = _three_finite(mu, "mu"), _three_finite(sigma, "sigma")
         if any(s <= 0 for s in sigma):
             raise ParameterError("sigma must be positive")
-        return super().__new__(cls, mu, sigma, _whole(n, 1, "n must be a positive integer"))
+        return super().__new__(cls, mu, sigma, _whole(n, 2, "n must be an integer of at least 2"))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
@@ -137,8 +143,6 @@ def generate_errors(params: ModelParams, seed) -> np.ndarray:
 
 def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummary:
     """Simulate one study and summarize it like a publication would."""
-    if params.n < 2:
-        raise ParameterError("n >= 2 required for sample sd")
     eps = generate_errors(params, seed)
     np = _numpy()
     # an sd that overflows or vanishes is refused by StudySummary
@@ -365,9 +369,7 @@ def null_exceedance(n, sigma, v_threshold, reps, seed) -> SimulationReport:
     reps = _whole(reps, 1000, "reps must be an integer of at least 1000")
     if not 1.0 < v_threshold < math.inf:
         raise ParameterError("v must exceed 1 and be finite")
-    params = ModelParams(mu=(0.0, 0.0, 0.0), sigma=tuple(sigma), n=n)
-    if params.n < 2:
-        raise ParameterError("n >= 2 required for sample sd")
+    params = ModelParams(mu=(0.0, 0.0, 0.0), sigma=sigma, n=n)
     seed = _whole(seed, 0, "seed must be a non-negative integer")
     np = _numpy()
     scale = np.asarray(params.sigma)[:, None]

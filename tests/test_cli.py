@@ -816,10 +816,61 @@ def test_simulate_command_rejects_a_negative_seed():
 
 
 def test_simulate_command_needs_three_sigmas():
-    for sigma in ("1,1", "1,1,1,1"):
+    for sigma in ("1,1", "1,1,1,1", "1,2", "1,,1", "a,b,c", "1,1,1,", "", "1e400,1,1"):
         code, out, err = run(["simulate", "--n", "20", "--sigma", sigma, "--reps", "2000"])
-        message = "error: --sigma needs exactly three comma-separated values\n"
-        assert (code, out, err) == (2, "", message), sigma
+        assert (code, out, err) == (2, "", "error: sigma must be three finite numbers\n"), sigma
+
+
+def test_simulate_command_needs_two_observations():
+    for n in ("0", "-3", "1"):
+        code, out, err = run(["simulate", "--n", n, "--sigma", "1,1,1", "--reps", "2000"])
+        assert (code, out, err) == (2, "", "error: n must be an integer of at least 2\n"), n
+    # sigma is checked first
+    code, out, err = run(["simulate", "--n", "1", "--sigma", "1,,1", "--reps", "2000"])
+    assert (code, out, err) == (2, "", "error: sigma must be three finite numbers\n")
+
+
+def run_or_usage(argv):
+    """:func:`run`, where argparse's own usage error is the exit code None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+_ARGUMENT_CELLS = (
+    st.floats(0.01, 100).map(repr)
+    | st.sampled_from(["", "0", "1", "-1", "2", "inf", "-inf", "nan", "1e400", "1e300", "1e-159",
+                       "x", "one", " 1", "1_0", "0x1"])
+    | st.floats().map(repr)
+    | st.integers(-5, 40).map(str)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-5, 40).map(str) | st.sampled_from(["", "inf", "nan", "1e400", "20.0", "x"]),
+    st.lists(_ARGUMENT_CELLS, min_size=3, max_size=3).map(",".join)
+    | st.lists(_ARGUMENT_CELLS, max_size=5).map(",".join),
+    _ARGUMENT_CELLS,
+)
+def test_simulate_and_threshold_arguments_end_cleanly(n, sigma, v):
+    # any text: a report, argparse's usage, or one diagnostic and no report;
+    # never a traceback or a warning (N <= 40 keeps each run in one process)
+    for argv in (["simulate", "--n", n, "--sigma", sigma, "--reps", "1000"],
+                 ["threshold", "--v", v]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_or_usage(argv)
+        if code is None:
+            assert err.startswith("usage: evidential") and out == "", argv
+        elif code != 0:
+            assert code == 2 and out == "", (argv, code, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_simulate_defaults_to_v_2_and_seed_0():
@@ -854,8 +905,8 @@ def test_simulate_command_rejects_bad_sigma():
                         "--reps", "2000", "--seed", "1"])
     assert code == 2 and "sigma" in err
     for n, sigma, problem in (
-        ("20", "nan,1,1", "mu and sigma must be finite"),
-        ("20", "inf,1,1", "mu and sigma must be finite"),
+        ("20", "nan,1,1", "sigma must be three finite numbers"),
+        ("20", "inf,1,1", "sigma must be three finite numbers"),
         # finite sigmas whose sample sds overflow or vanish: the study of
         # the first such replication is refused, without a numpy warning;
         # at 1e-159 only a few sds underflow to 0, in replications that
@@ -978,6 +1029,14 @@ def test_cold_simulate_prints_the_readme_lines():
     # the command's own process rule, forking where it may
     out, err = cold(SEED_42).communicate(timeout=120)
     assert (out.splitlines(), err) == (readme_seed_42_lines(), "")
+
+
+def test_cold_simulate_names_the_bad_parameter():
+    for argv, problem in ((["--n", "20", "--sigma", "1,,1"], "sigma must be three finite numbers"),
+                          (["--n", "1", "--sigma", "1,1,1"], "n must be an integer of at least 2")):
+        proc = cold(["simulate", *argv, "--reps", "1000"])
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (2, "", f"error: {problem}\n"), argv
 
 
 def test_cold_threshold_prints_the_readme_line():

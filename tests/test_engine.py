@@ -258,8 +258,9 @@ def test_combine_defaults_to_even_prior_odds():
 def test_combine_domain_errors():
     with pytest.raises(ValueError, match="no studies"):
         combine([])
-    with pytest.raises(ValueError, match="prior_odds"):
-        combine([_point(2.0)], prior_odds=0.0)
+    for prior_odds in (0.0, INF, -INF, math.nan, -1.0):
+        with pytest.raises(ValueError, match="^prior_odds must be positive and finite$"):
+            combine([_point(2.0)], prior_odds=prior_odds)
 
 
 def test_reference_corpus_empirical_tail(reference):

@@ -65,24 +65,38 @@ def test_copy_probabilities_reject_mixed_zero_and_negative():
 def test_model_params_validation():
     with pytest.raises(ParameterError, match="sigma must be positive"):
         params(sigma=(1, -1, 1))
-    for mu, sigma in (((0, 0, 0), (1, 1)), ((0, 0), (1, 1, 1))):
-        with pytest.raises(ParameterError, match="^mu and sigma must have exactly three entries$"):
+    # mu and sigma: three finite numbers, or their text; a bad field is named alone
+    for name, good in (("mu", (0, 0, 0)), ("sigma", (1, 1, 1))):
+        for bad in ((1, 1), (1, 1, 1, 1), (), 1.0, None, ("1", "", "1"), ("a", "b", "c"),
+                    ("1", "1", "1", ""), ("1e400", "1", "1"), (10**400, 1, 1), "111"):
+            fields = {"mu": (0, 0, 0), "sigma": (1, 1, 1), name: bad}
+            with pytest.raises(ParameterError, match=f"^{name} must be three finite numbers$"):
+                params(**fields)
+        for bad in (math.nan, math.inf, -math.inf, "nan", "inf"):
+            with pytest.raises(ParameterError, match=f"^{name} must be three finite numbers$"):
+                params(**{name: (bad, *good[1:])})
+            with pytest.raises(ParameterError, match=f"^{name} must be three finite numbers$"):
+                params(**{name: (good[0], bad, good[2])})
+    for mu, sigma, name in (((0, 0, 0), (1, 1), "sigma"), ((0, 0), (1, 1, 1), "mu")):
+        with pytest.raises(ParameterError, match=f"^{name} must be three finite numbers$"):
             params(mu=mu, sigma=sigma)
-    with pytest.raises(ParameterError, match="positive integer"):
-        params(n=0)
-    with pytest.raises(ParameterError, match="positive integer"):
-        params()._replace(n=0)
-    assert params()._replace(n=5.0).n == 5 and type(params()._replace(n=5.0).n) is int
-    for bad in (math.inf, math.nan, 2.5, "20"):
-        with pytest.raises(ParameterError, match="^n must be a positive integer$"):
+    text = ModelParams(("0", "0", "0"), ("1", "1.5", "2"), 20)
+    assert text == params(sigma=(1.0, 1.5, 2.0), n=20)
+    assert all(type(x) is float for x in text.mu + text.sigma)
+    # n: a whole number of at least 2, checked after sigma
+    for bad in (0, 1, -3, math.inf, math.nan, 2.5, "20"):
+        with pytest.raises(ParameterError, match="^n must be an integer of at least 2$"):
             params(n=bad)
+    with pytest.raises(ParameterError, match="^sigma must be three finite numbers$"):
+        params(sigma=(1, 1), n=1)
+    for bad in (0, 1):
+        with pytest.raises(ParameterError, match="^n must be an integer of at least 2$"):
+            params()._replace(n=bad)
+    with pytest.raises(ParameterError, match="^mu must be three finite numbers$"):
+        params()._replace(mu=(0, "x", 0))
+    assert params()._replace(n=5.0).n == 5 and type(params()._replace(n=5.0).n) is int
     with pytest.raises(ValueError):
         copying_errors((1, 1, 1), (1.0, 1.0, 1.0), 20, seed=0)  # boundary triple is not admissible
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ParameterError, match="mu and sigma must be finite"):
-            params(sigma=(bad, 1, 1))
-        with pytest.raises(ParameterError, match="mu and sigma must be finite"):
-            params(mu=(0, bad, 0))
 
 
 # --- error generation --------------------------------------------------------
@@ -180,7 +194,7 @@ def test_simulate_study_refuses_overflowing_sds_without_a_numpy_warning():
 
 
 def test_simulate_study_needs_two_observations():
-    with pytest.raises(ParameterError, match="n >= 2"):
+    with pytest.raises(ParameterError, match="^n must be an integer of at least 2$"):
         simulate_study(params(n=1), seed=0)
     # two are enough: the stream contract's rows 1-3, summarized
     data = np.random.default_rng(0).standard_normal((4, 2))[1:]
@@ -540,8 +554,20 @@ def test_null_exceedance_parameter_errors():
     for v in (1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="^v must exceed 1 and be finite$"):
             null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=v, reps=2000, seed=1)
-    with pytest.raises(ParameterError, match="n >= 2"):
-        null_exceedance(n=1, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=1)
+    for n in (1, 0, -3):
+        with pytest.raises(ParameterError, match="^n must be an integer of at least 2$"):
+            null_exceedance(n=n, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=1)
+    for sigma in ("1,2", "1,,1", "a,b,c", "1,1,1,", "inf,1,1", "nan,1,1"):
+        with pytest.raises(ParameterError, match="^sigma must be three finite numbers$"):
+            null_exceedance(n=20, sigma=sigma.split(","), v_threshold=2.0, reps=2000, seed=1)
+    # reps and v are checked before sigma and n, seed after them
+    args = {"n": 1, "sigma": (1, 1), "v_threshold": 1.0, "reps": 0, "seed": -1}
+    good = {"n": 20, "sigma": (1, 1, 1), "v_threshold": 2.0, "reps": 1000, "seed": 1}
+    for field, problem in (("reps", "reps"), ("v_threshold", "v"), ("sigma", "sigma"),
+                           ("n", "n"), ("seed", "seed")):
+        with pytest.raises(ParameterError, match=f"^{problem} must "):
+            null_exceedance(**args)
+        args[field] = good[field]
     for seed in (-1, 1.5, math.nan, math.inf):
         with pytest.raises(ParameterError, match="^seed must be a non-negative integer$"):
             null_exceedance(n=20, sigma=(1, 1, 1), v_threshold=2.0, reps=2000, seed=seed)

@@ -179,12 +179,13 @@ def cmd_compute(args) -> tuple[int, str]:
 
 
 def _compute(args) -> tuple[int, str]:
+    path = ledger._spelled(args.input)  # named on one line, as a cell is
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {args.input}: {exc}") from exc
-    source, rows = ledger.document_rows(text, source=args.input)
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    source, rows = ledger.document_rows(text, source=path)
     studies, errors = ledger.parse_rows(rows)
     del text, rows  # freed before the studies are evaluated, which reuse the memory
     errors = [str(e) for e in errors]

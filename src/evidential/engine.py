@@ -82,8 +82,8 @@ _PAPER, _EXACT = Mode.PAPER, Mode.EXACT
 _MIDDLE, _BELOW, _ABOVE = Case.MIDDLE, Case.BELOW, Case.ABOVE
 
 
-class EvidentialValue(namedtuple("EvidentialValue", "lower upper case mode")):
-    """A point value (lower == upper) or interval for V.
+class EvidentialValue(namedtuple("EvidentialValue", "lower upper case")):
+    """A point value (lower == upper) or interval for V, and its regime.
 
     ``math.inf`` is the distinguished unbounded upper end; it is produced
     deliberately (zero contrast with a vanishing variance floor), never as
@@ -92,14 +92,6 @@ class EvidentialValue(namedtuple("EvidentialValue", "lower upper case mode")):
     """
 
     __slots__ = ()
-
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def is_unbounded(self) -> bool:
-        return math.isinf(self.upper)
 
 
 def log_value(r: float, q: float) -> float:
@@ -137,7 +129,7 @@ def profile_value(profile, mode: Mode) -> EvidentialValue:
     z_v, _, q_paper, q_exact = profile
     r = abs(z_v)
     if r > 1.0:  # V = 1: log_value is 0 from r = 1 on
-        return tuple.__new__(EvidentialValue, (1.0, 1.0, _ABOVE, mode))
+        return tuple.__new__(EvidentialValue, (1.0, 1.0, _ABOVE))
     q = q_exact if mode is _EXACT else q_paper
     lower = upper = _value(r, q)
     if r < q or r == 0.0:
@@ -146,7 +138,7 @@ def profile_value(profile, mode: Mode) -> EvidentialValue:
             upper = max(lower, _value(r, 0.0))
     else:
         case = _MIDDLE
-    return tuple.__new__(EvidentialValue, (lower, upper, case, mode))
+    return tuple.__new__(EvidentialValue, (lower, upper, case))
 
 
 def z_v_statistic(study) -> float:

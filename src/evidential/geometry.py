@@ -83,7 +83,7 @@ def paper_lower_bound_sq(sds) -> float:
     ``(s3, 0, s1) / sqrt(s1^2 + s3^2)``.  It is the square of the paper
     floor that :func:`variance_profile` computes.
     """
-    unit, _, _, paper, _ = _scales(sds)
+    unit, _, _, paper, _ = _scales(_three_positive(sds))
     return (unit * paper) ** 2
 
 
@@ -119,11 +119,15 @@ def exact_infimum_sq(sds) -> float:
     at its minimum, so every point of the segment except the endpoint is
     interior and satisfies the constraint.
     """
-    s1, s2, s3 = sds
-    if not (s1 > 0 and s2 > 0 and s3 > 0):
-        raise ValueError("sds must be positive")
-    unit, _, _, _, exact = _scales(sds)
+    unit, _, _, _, exact = _scales(_three_positive(sds))
     return (unit * exact) ** 2
+
+
+def _three_positive(sds):
+    # the floor functions' sds; a study's are checked when it is made, not in _scales
+    if len(sds) != 3 or not all(0.0 < s < math.inf for s in sds):
+        raise ValueError("sds must be three positive finite numbers")
+    return sds
 
 
 def _scales(sds):

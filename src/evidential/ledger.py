@@ -19,17 +19,8 @@ COLUMNS = ("id", "n", "x1", "x2", "x3", "s1", "s2", "s3")
 
 
 class LedgerError(ValueError):
-    """Malformed or invalid ledger input.
-
-    Carries optional context: the 1-based input row, the column name and
-    the offending study id.
-    """
-
-    def __init__(self, message, row=None, column=None, study_id=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-        self.study_id = study_id
+    """Malformed or invalid ledger input; its text names the row, entry,
+    column or study id at fault."""
 
 
 class StudySummary(namedtuple("StudySummary", "id n means sds")):
@@ -40,10 +31,9 @@ class StudySummary(namedtuple("StudySummary", "id n means sds")):
     quotient like 141/6 = 23.5.  ``means`` and ``sds`` are tuples of floats.
 
     Construction runs :func:`validate` and raises one :class:`LedgerError`
-    (``study '<id>': <violation>; ...``, with ``study_id`` set) when the
-    numbers break an invariant; ``_make`` and ``_replace`` construct
-    through it too.  Every study that exists is therefore valid, and no
-    evaluation checks it again.
+    (``study '<id>': <violation>; ...``) when the numbers break an
+    invariant; ``_make`` and ``_replace`` construct through it too.  Every
+    study that exists is therefore valid, and no evaluation checks it again.
     """
 
     __slots__ = ()
@@ -59,12 +49,13 @@ def _study(cls, id, n, means, sds):
     self = tuple.__new__(cls, (id, n, means, sds))
     problems = validate(self)
     if problems:
-        raise LedgerError(f"study '{id}': " + "; ".join(problems), study_id=id)
+        raise LedgerError(f"study '{id}': " + "; ".join(problems))
     return self
 
 
 class StudyLedger:
-    """An ordered, read-only collection of studies with unique ids."""
+    """An ordered, read-only collection of studies; :func:`parse_rows`
+    refuses a repeated id, so the ids of a parsed ledger are unique."""
 
     __slots__ = ("studies", "source")
 
@@ -185,12 +176,11 @@ def _csv_rows(text: str, source: str):
         if header_seen:
             name = f"row {lineno}"
             rows.append((name, lineno, cells) if len(cells) == len(COLUMNS) else LedgerError(
-                f"{name}: expected {len(COLUMNS)} columns, got {len(cells)}", row=lineno))
+                f"{name}: expected {len(COLUMNS)} columns, got {len(cells)}"))
         elif tuple(c.lower() for c in cells) == COLUMNS:
             header_seen = True
         else:
-            raise LedgerError(f"row {lineno}: header must be '{','.join(COLUMNS)}', got '{line}'",
-                              row=lineno)
+            raise LedgerError(f"row {lineno}: header must be '{','.join(COLUMNS)}', got '{line}'")
     if not header_seen:
         raise LedgerError(f"{source}: no header row found; expected '{','.join(COLUMNS)}'")
     return rows
@@ -242,8 +232,8 @@ def document_rows(text: str, source: str = "<string>"):
 def parse_rows(rows):
     """``(studies, errors)`` of :func:`document_rows`' rows: rows that are
     errors or fail to parse, rows whose :class:`StudySummary` construction
-    fails (the error gets the row attached) and repeated ids are errors.
-    Cells are numbers or their text; ``n`` also accepts quotients like ``141/6``.
+    fails and repeated ids are errors.  Cells are numbers or their text;
+    ``n`` also accepts quotients like ``141/6``.
     """
     studies: list[StudySummary] = []
     errors: list[LedgerError] = []
@@ -252,15 +242,14 @@ def parse_rows(rows):
         if isinstance(row, LedgerError):
             errors.append(row)
             continue
-        name, lineno, cells = row
+        name, _, cells = row
         study_id, n = _id(cells[0]), _number(cells[1], True)
         x1, x2, x3, s1, s2, s3 = numbers = tuple(cells[2:])
         if not type(x1) is type(x2) is type(x3) is type(s1) is type(s2) is type(s3) is float:
             numbers = tuple(map(_number, numbers))  # _number takes a float as it is
         if study_id is None or n is None or None in numbers:
             errors += [
-                LedgerError(f"{name}, column {column}: could not parse '{_spelled(cell)}'",
-                            row=lineno, column=column, study_id=study_id)
+                LedgerError(f"{name}, column {column}: could not parse '{_spelled(cell)}'")
                 for column, cell, value in zip(COLUMNS, cells, (study_id, n, *numbers))
                 if value is None
             ]
@@ -268,13 +257,12 @@ def parse_rows(rows):
         try:
             study = _study(StudySummary, study_id, n, numbers[:3], numbers[3:])
         except LedgerError as exc:
-            exc.row = lineno
             errors.append(exc)
             continue
         first = seen.setdefault(study_id, name)
         if first != name:
             errors.append(LedgerError(f"{name}: duplicate study id '{study_id}' "
-                                      f"(first at {first})", row=lineno, study_id=study_id))
+                                      f"(first at {first})"))
             continue
         studies.append(study)
     return studies, errors

@@ -141,8 +141,8 @@ def generate_errors(params: ModelParams, seed) -> np.ndarray:
     return np.asarray(params.sigma)[:, None] * normals[1:]
 
 
-def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummary:
-    """Simulate one study and summarize it like a publication would."""
+def simulate_study(params: ModelParams, seed) -> StudySummary:
+    """Simulate one study, named ``sim``, and summarize it like a publication would."""
     eps = generate_errors(params, seed)
     np = _numpy()
     # an sd that overflows or vanishes is refused by StudySummary
@@ -150,12 +150,7 @@ def simulate_study(params: ModelParams, seed, label: str = "sim") -> StudySummar
         data = np.asarray(params.mu)[:, None] + eps
         means = data.mean(axis=1)
         sds = data.std(axis=1, ddof=1)
-    return StudySummary(
-        id=label,
-        n=float(params.n),
-        means=tuple(means.tolist()),
-        sds=tuple(sds.tolist()),
-    )
+    return StudySummary("sim", float(params.n), tuple(means.tolist()), tuple(sds.tolist()))
 
 
 class SimulationReport(

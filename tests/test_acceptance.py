@@ -51,7 +51,7 @@ def test_criterion_1_suspect_corpus(suspect):
     failures = []
     for sid, want in SUSPECT_POINTS.items():
         ev = values[sid]
-        if not ev.is_point or abs(ev.lower - want) > 0.02:
+        if ev.lower != ev.upper or abs(ev.lower - want) > 0.02:
             failures.append(f"{sid}: got [{ev.lower:.4f},{ev.upper:.4f}] want {want}")
     for sid, (lo, hi) in SUSPECT_INTERVALS.items():
         ev = values[sid]
@@ -250,7 +250,7 @@ def test_criterion_5_exact_inside_paper():
             upper_ok = math.isinf(paper.upper)
         else:
             upper_ok = exact.upper <= paper.upper * (1 + 1e-9) + 1e-9
-        if not (lower_ok and upper_ok and exact.is_point):
+        if not (lower_ok and upper_ok and exact.lower == exact.upper):
             bad += 1
     _report(
         "criterion 5d (exact value inside paper interval on 1e4 studies)",

@@ -57,18 +57,18 @@ def run(argv):
 # --- rendering ---------------------------------------------------------------
 
 def test_render_point_interval_and_unbounded():
-    assert render_value(EvidentialValue(3.9228, 3.9228, Case.MIDDLE, Mode.PAPER)) == "3.92"
-    assert render_value(EvidentialValue(4.9476, 9.4121, Case.BELOW, Mode.PAPER)) == "4.95–9.41"
-    assert render_value(EvidentialValue(13.9492, INF, Case.BELOW, Mode.PAPER)) == "13.95–∞"
-    assert render_value(EvidentialValue(1.0, 1.0, Case.ABOVE, Mode.PAPER)) == "1"
-    assert render_value(EvidentialValue(INF, INF, Case.BELOW, Mode.EXACT)) == "∞"
+    assert render_value(EvidentialValue(3.9228, 3.9228, Case.MIDDLE)) == "3.92"
+    assert render_value(EvidentialValue(4.9476, 9.4121, Case.BELOW)) == "4.95–9.41"
+    assert render_value(EvidentialValue(13.9492, INF, Case.BELOW)) == "13.95–∞"
+    assert render_value(EvidentialValue(1.0, 1.0, Case.ABOVE)) == "1"
+    assert render_value(EvidentialValue(INF, INF, Case.BELOW)) == "∞"
     # interval endpoints that agree at 2 decimals collapse, as printed tables do
-    assert render_value(EvidentialValue(2.7173, 2.7184, Case.BELOW, Mode.PAPER)) == "2.72"
+    assert render_value(EvidentialValue(2.7173, 2.7184, Case.BELOW)) == "2.72"
 
 
 def test_rounding_is_half_up():
-    assert render_value(EvidentialValue(2.675, 2.675, Case.MIDDLE, Mode.PAPER)) == "2.68"
-    assert render_value(EvidentialValue(1.005, 1.005, Case.MIDDLE, Mode.PAPER)) == "1.01"
+    assert render_value(EvidentialValue(2.675, 2.675, Case.MIDDLE)) == "2.68"
+    assert render_value(EvidentialValue(1.005, 1.005, Case.MIDDLE)) == "1.01"
 
 
 # --- compute ------------------------------------------------------------------
@@ -481,6 +481,21 @@ def test_compute_malformed_ledger_is_an_input_error(tmp_path, name):
     assert err.startswith("error: ") and names in err
     if names == "cannot read":
         assert str(path) in err
+
+
+def test_compute_names_a_path_that_breaks_a_line_on_one_line(tmp_path):
+    # a line break in the file name is spelled as a cell's is, so the name
+    # cannot forge a second diagnostic line
+    path = tmp_path / "bad\nproduct V: 1.json"
+    path.write_bytes(b'{"studies": [')
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {tmp_path}/bad\\nproduct V: 1.json: invalid JSON: ")
+    path.unlink()
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {tmp_path}/bad\\nproduct V: 1.json: ")
 
 
 @pytest.mark.parametrize("value", ["NaN", '{"x": [1, 2]}', "null"])
@@ -1326,6 +1341,18 @@ def test_a_cold_run_in_dev_mode_leaves_no_resource_for_a_collection(argv):
 def test_main_dispatches(capsys):
     assert main(["threshold", "--v", "2"]) == 0
     assert capsys.readouterr().out == "0.3191, 0.2504\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], *([cmd, "--help"] for cmd in ("compute", "threshold", "simulate"))]
+)
+def test_help_exits_0_with_the_usage_on_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: evidential")
+    assert err == ""
 
 
 def test_usage_error_exit_code():

@@ -60,13 +60,13 @@ def test_plugin_density_domain_errors():
 
 def test_row1_paper_point(by_id):
     ev = evidential_value(by_id["1"], Mode.PAPER)
-    assert ev.case is Case.MIDDLE and ev.is_point
+    assert ev.case is Case.MIDDLE and ev.lower == ev.upper
     assert ev.lower == pytest.approx(3.92, abs=0.02)
 
 
 def test_row6_paper_interval(by_id):
     ev = evidential_value(by_id["6"], Mode.PAPER)
-    assert ev.case is Case.BELOW and not ev.is_point
+    assert ev.case is Case.BELOW and ev.lower != ev.upper
     assert ev.lower == pytest.approx(4.95, abs=0.02)
     assert ev.upper == pytest.approx(9.41, abs=0.02)
 
@@ -75,7 +75,7 @@ def test_row8_paper_unbounded(by_id):
     ev = evidential_value(by_id["8"], Mode.PAPER)
     assert ev.case is Case.BELOW
     assert ev.lower == pytest.approx(13.949242986793495, abs=1e-9)
-    assert ev.upper == INF and ev.is_unbounded
+    assert ev.upper == INF
 
 
 def test_hunt_is_above_case(by_id):
@@ -93,7 +93,7 @@ def test_row6_exact_point(by_id):
     # the exact floor coincides with the proxy here, so the exact value
     # is the proxy-floor density ratio: 4.947601892391487
     ev = evidential_value(by_id["6"], Mode.EXACT)
-    assert ev.is_point and ev.case is Case.BELOW
+    assert ev.lower == ev.upper and ev.case is Case.BELOW
     assert ev.lower == pytest.approx(4.9476018923914870, abs=2e-6)
     assert ev.lower == pytest.approx(4.95, abs=0.02)
 
@@ -215,7 +215,7 @@ def test_null_tail_values():
 # --- combination ------------------------------------------------------------
 
 def _point(v):
-    return EvidentialValue(v, v, Case.MIDDLE, Mode.PAPER)
+    return EvidentialValue(v, v, Case.MIDDLE)
 
 
 def test_combine_twelve_twos():
@@ -225,7 +225,7 @@ def test_combine_twelve_twos():
 
 
 def test_combine_absorbs_unbounded():
-    iv = EvidentialValue(13.95, INF, Case.BELOW, Mode.PAPER)
+    iv = EvidentialValue(13.95, INF, Case.BELOW)
     combined = combine([_point(2.0), iv], prior_odds=0.5)
     assert combined.product_lower == pytest.approx(27.9)
     assert combined.product_upper == INF
@@ -240,7 +240,7 @@ def test_combine_refuses_a_product_beyond_the_float_range():
     with pytest.raises(OverflowError, match="exceeds the float range"):
         combine([_point(1e300)], prior_odds=1e10)
     # an unbounded factor still absorbs
-    iv = EvidentialValue(1e300, INF, Case.BELOW, Mode.PAPER)
+    iv = EvidentialValue(1e300, INF, Case.BELOW)
     assert combine([iv, _point(2.0)]).product_upper == INF
 
 
@@ -250,7 +250,7 @@ def test_combine_multiplies_bare_values():
 
 
 def test_combine_defaults_to_even_prior_odds():
-    combined = combine([_point(2.0), EvidentialValue(3.0, INF, Case.BELOW, Mode.PAPER)])
+    combined = combine([_point(2.0), EvidentialValue(3.0, INF, Case.BELOW)])
     assert combined.prior_odds == 1.0
     assert (combined.posterior_odds_lower, combined.posterior_odds_upper) == (6.0, INF)
 
@@ -272,13 +272,13 @@ def test_reference_corpus_empirical_tail(reference):
 
 def test_empirical_tail_counts_a_value_at_v():
     # V >= v by its lower end: a tie counts, an interval reaching v does not
-    values = [_point(2.0), _point(1.5), EvidentialValue(1.9, 2.5, Case.BELOW, Mode.PAPER)]
+    values = [_point(2.0), _point(1.5), EvidentialValue(1.9, 2.5, Case.BELOW)]
     assert empirical_tail_fraction(values, 2.0) == 1 / 3
 
 
 def test_combine_and_tail_on_ties_unbounded_ends_and_overflow(suspect):
     # an unbounded upper end (study 8 in paper mode) and a tie at the tail's v
-    tie = [_point(2.0), _point(1.5), EvidentialValue(1.9, 2.5, Case.BELOW, Mode.PAPER)]
+    tie = [_point(2.0), _point(1.5), EvidentialValue(1.9, 2.5, Case.BELOW)]
     paper = [evidential_value(s, Mode.PAPER) for s in suspect]
     assert combine(paper).product_upper == INF
     assert combine([*paper, *tie], 0.25).posterior_odds_upper == INF
@@ -432,8 +432,8 @@ def test_rows_far_from_table_scale():
         ev[name]["z_v"] = z_v_statistic(study)
     for mode in Mode:
         # a scaled copy of a V = 1 row
-        assert ev["tiny"][mode] == (1.0, 1.0, Case.ABOVE, mode)
-        assert ev["unit"][mode] == (1.0, 1.0, Case.ABOVE, mode)
+        assert ev["tiny"][mode] == (1.0, 1.0, Case.ABOVE)
+        assert ev["unit"][mode] == (1.0, 1.0, Case.ABOVE)
         # n z^2 and s0^2 would underflow; V = exp(-1/2)/r
         assert ev["underflow"][mode].lower == pytest.approx(
             math.exp(-0.5) / math.sqrt(20 / 6) * 1e50, rel=1e-12

@@ -314,8 +314,12 @@ def test_exact_infimum_matches_closed_form_quick():
 
 
 def test_exact_infimum_input_checks():
-    with pytest.raises(ValueError, match="sds must be positive"):
-        exact_infimum_sq((1.0, -1.0, 1.0))
+    # both floor functions refuse sds that are not three positive finite numbers
+    nan, inf = math.nan, math.inf
+    for sds in ((1.0, -1.0, 1.0), (-1, 1, 1), (nan, 1, 1), (inf, 1, 1), (1, 1, 0), (1, 1)):
+        for floor in (paper_lower_bound_sq, exact_infimum_sq):
+            with pytest.raises(ValueError, match="^sds must be three positive finite numbers$"):
+                floor(sds)
     with pytest.raises(ValueError, match="tol must be positive"):
         numeric_infimum_sq((1.0, 1.0, 1.0), tol=0.0)
 

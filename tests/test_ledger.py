@@ -96,9 +96,8 @@ def test_parse_rational_n():
 
 def test_parse_rejects_zero_sd():
     text = HEADER + "\nbad,20,1,2,3,1.0,0,1.0\n"
-    with pytest.raises(LedgerError, match="sds must be positive") as exc:
+    with pytest.raises(LedgerError, match="^study 'bad': sds must be positive$"):
         parse_ledger(text)
-    assert exc.value.study_id == "bad"
 
 
 def test_parse_errors_name_row_and_column():
@@ -110,12 +109,14 @@ def test_parse_errors_name_row_and_column():
         parse_ledger(text)
     for fmt, where in FORMATS:
         text = render(fmt, [GOOD, ALSO_GOOD], [(1, "x3", "x")])
-        with pytest.raises(LedgerError, match=re.escape(f"{where(1)}, column x3")) as exc:
+        with pytest.raises(LedgerError, match=re.escape(f"{where(1)}, column x3: could not")):
             parse_ledger(text)
-        assert exc.value.column == "x3" and exc.value.study_id == "also-good"
         # every unparseable cell of a row is reported
         _, errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "?"), (0, "s2", "")]))
-        assert [e.column for e in errors] == ["n", "s2"], fmt
+        assert [str(e) for e in errors] == [
+            f"{where(0)}, column n: could not parse '?'",
+            f"{where(0)}, column s2: could not parse ''",
+        ], fmt
 
 
 def test_json_refuses_what_is_not_a_number_or_a_row():
@@ -154,7 +155,6 @@ def test_ids_are_non_empty_text_or_json_numbers():
             assert [str(e) for e in errors] == [
                 f"{where(1)}, column id: could not parse '{spelled}'"
             ], (fmt, cell)
-            assert (errors[0].column, errors[0].study_id) == ("id", None)
         # a number keeps its text as an id
         if fmt.startswith("json"):
             led = parse_ledger(render(fmt, [GOOD, ALSO_GOOD], [(0, "id", 7), (1, "id", 7.5)]))
@@ -224,7 +224,6 @@ def test_an_id_no_report_can_write_is_refused_in_both_formats():
             assert [str(e) for e in errors] == [
                 f"{where(1)}, column id: could not parse '{cell}'"
             ], (fmt, cell)
-            assert (errors[0].column, errors[0].study_id) == ("id", None)
 
 
 #: the controls (but the tab) and separators that a CSV line can hold (str.splitlines
@@ -247,7 +246,6 @@ def test_an_id_that_breaks_a_line_is_refused_in_both_formats():
             assert [str(e) for e in errors] == [
                 f"{where(1)}, column id: could not parse 'a{escaped}b'"
             ], (fmt, char)
-            assert (errors[0].column, errors[0].study_id) == ("id", None)
         # any column's text is spelled the same way
         errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "2\x000")]))[1]
         assert [str(e) for e in errors] == [f"{where(0)}, column n: could not parse '2\\x000'"]
@@ -289,8 +287,7 @@ def test_document_rows_give_every_row_one_shape():
     # that cannot be read is its own LedgerError, named as its row
     source, rows = document_rows(HEADER + "\na, 20,1,2,3,1,1,1\nb,20,1\n", "doc")
     assert (source, rows[0]) == ("doc", ("row 2", 2, ["a", "20", "1", "2", "3", "1", "1", "1"]))
-    assert type(rows[1]) is LedgerError and rows[1].row == 3
-    assert str(rows[1]) == "row 3: expected 8 columns, got 3"
+    assert type(rows[1]) is LedgerError and str(rows[1]) == "row 3: expected 8 columns, got 3"
     entry = {"id": "a", "n": 20, "means": [1, 2, 3.5], "sds": [1, 1, 1]}
     no_n = {key: cell for key, cell in entry.items() if key != "n"}
     doc = {"source": "paper", "studies": [entry, [entry], no_n, {**entry, "means": [1, 2]}]}
@@ -342,7 +339,6 @@ def test_validate_examples():
     with pytest.raises(LedgerError) as exc:
         StudySummary("x", 0, (1, 2, 3), (1, 1, 1))
     assert str(exc.value) == "study 'x': n must be positive"
-    assert exc.value.study_id == "x" and exc.value.row is None
     for n, means, sds, violation in (
         (20, (1, 2, 3), (1.0, -0.5, 1.0), "sds must be positive"),
         (20, (1, 2), (1, 1, 1), "means must have exactly three entries"),
@@ -457,9 +453,8 @@ def test_load_ledger_reads_a_file_as_parse_ledger_reads_its_text(tmp_path):
         assert (loaded.studies, loaded.source) == (parsed.studies, parsed.source)
         assert loaded.studies == studies
         path.write_text(render(fmt, studies, [(1, "n", "-1")]), encoding="utf-8")
-        with pytest.raises(LedgerError, match="n must be positive") as exc:
+        with pytest.raises(LedgerError, match="^study 'also-good': n must be positive$"):
             load_ledger(path)
-        assert exc.value.row == (3 if fmt == "csv" else None), fmt
 
 
 def test_lenient_parse_keeps_valid_rows():
@@ -469,16 +464,13 @@ def test_lenient_parse_keeps_valid_rows():
     )
     led, errors = parse_ledger_lenient(text)
     assert [s.id for s in led] == ["good", "also-good"]
-    assert len(errors) == 1
-    assert errors[0].study_id == "bad"
-    assert errors[0].row == 3
+    assert [str(e) for e in errors] == ["study 'bad': sds must be positive"]
     bad = StudySummary("bad", 20, (1, 2, 3), (1, 1, 1))
     for fmt, _ in FORMATS:
         text = render(fmt, [GOOD, bad, ALSO_GOOD], edits=[(1, "s2", 0)])
         led, errors = parse_ledger_lenient(text)
         assert [s.id for s in led] == ["good", "also-good"], fmt
         assert [str(e) for e in errors] == ["study 'bad': sds must be positive"]
-        assert errors[0].study_id == "bad"
 
 
 def test_serialize_rejects_comma_ids():

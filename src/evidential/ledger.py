@@ -143,8 +143,9 @@ _CONTROLS = {c: repr(chr(c))[1:-1]
 def _id(cell):
     """A cell as a study id: text stripped like a CSV cell, if that leaves
     any, holds none of the ``_CONTROLS`` and UTF-8 can write it, or a JSON
-    number's text; else None.  A JSON string can spell a lone surrogate
-    (``"\\ud800"``), which no report can write."""
+    number as ``str`` spells its value (``1e2`` is ``100.0``, ``1.50`` is
+    ``1.5``; CSV keeps the text); else None.  A JSON string can spell a lone
+    surrogate (``"\\ud800"``), which no report can write."""
     if type(cell) in (str, int, float):  # not a bool, null, list or object
         text = str(cell).strip()
         if not text.isprintable() and not _CONTROLS.keys().isdisjoint(map(ord, text)):
@@ -164,8 +165,8 @@ def _spelled(cell) -> str:
 
 
 def _csv_rows(text: str, source: str):
-    """The data lines under the mandatory header, as ``(row N, N, cells)``,
-    or as the error of a line without ``len(COLUMNS)`` cells."""
+    """The data lines under the mandatory header, as ``(row N, cells)``, or
+    as the error of a line without ``len(COLUMNS)`` cells."""
     rows = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,7 +176,7 @@ def _csv_rows(text: str, source: str):
         cells = [c.strip() for c in line.split(",")]
         if header_seen:
             name = f"row {lineno}"
-            rows.append((name, lineno, cells) if len(cells) == len(COLUMNS) else LedgerError(
+            rows.append((name, cells) if len(cells) == len(COLUMNS) else LedgerError(
                 f"{name}: expected {len(COLUMNS)} columns, got {len(cells)}"))
         elif tuple(c.lower() for c in cells) == COLUMNS:
             header_seen = True
@@ -187,14 +188,14 @@ def _csv_rows(text: str, source: str):
 
 
 def _json_row(k, entry):
-    """The k-th ``studies`` entry as ``(studies[k], None, cells)``, or as its error."""
+    """The k-th ``studies`` entry as ``(studies[k], cells)``, or as its error."""
     name = f"studies[{k}]"
     if not isinstance(entry, dict):
         return LedgerError(f"{name}: expected an object with keys id, n, means, sds")
     means, sds = entry.get("means"), entry.get("sds")
     if "id" in entry and "n" in entry and isinstance(means, list) and isinstance(sds, list):
         if len(means) == len(sds) == 3:
-            return name, None, [entry["id"], entry["n"], *means, *sds]
+            return name, [entry["id"], entry["n"], *means, *sds]
     problems = [f"missing key '{key}'" for key in ("id", "n", "means", "sds") if key not in entry]
     problems.append("means and sds must be lists of three numbers")
     return LedgerError(f"{name}: {problems[0]}")
@@ -202,9 +203,9 @@ def _json_row(k, entry):
 
 def document_rows(text: str, source: str = "<string>"):
     """The rows of a ledger document, as ``(source, rows)`` for
-    :func:`parse_rows`: each row is ``(name, line number or None, cells)``,
-    or the :class:`LedgerError` of a line, entry or document that cannot be
-    read, so a malformed document (no or bad CSV header, invalid JSON, no
+    :func:`parse_rows`: each row is ``(name, cells)``, or the
+    :class:`LedgerError` of a line, entry or document that cannot be read,
+    so a malformed document (no or bad CSV header, invalid JSON, no
     ``studies`` list) is one row.  One leading UTF-8 byte-order mark is
     dropped.  CSV: UTF-8, comma-delimited, mandatory header
     ``id,n,x1,x2,x3,s1,s2,s3``, ``#`` comment lines; a data line is ``row N``.
@@ -232,8 +233,8 @@ def document_rows(text: str, source: str = "<string>"):
 def parse_rows(rows):
     """``(studies, errors)`` of :func:`document_rows`' rows: rows that are
     errors or fail to parse, rows whose :class:`StudySummary` construction
-    fails and repeated ids are errors.  Cells are numbers or their text;
-    ``n`` also accepts quotients like ``141/6``.
+    fails and repeated ids are errors, each led by its row's name.  Cells
+    are numbers or their text; ``n`` also accepts quotients like ``141/6``.
     """
     studies: list[StudySummary] = []
     errors: list[LedgerError] = []
@@ -242,7 +243,7 @@ def parse_rows(rows):
         if isinstance(row, LedgerError):
             errors.append(row)
             continue
-        name, _, cells = row
+        name, cells = row
         study_id, n = _id(cells[0]), _number(cells[1], True)
         x1, x2, x3, s1, s2, s3 = numbers = tuple(cells[2:])
         if not type(x1) is type(x2) is type(x3) is type(s1) is type(s2) is type(s3) is float:
@@ -257,12 +258,11 @@ def parse_rows(rows):
         try:
             study = _study(StudySummary, study_id, n, numbers[:3], numbers[3:])
         except LedgerError as exc:
-            errors.append(exc)
+            errors.append(LedgerError(f"{name}: {exc}"))
             continue
         first = seen.setdefault(study_id, name)
         if first != name:
-            errors.append(LedgerError(f"{name}: duplicate study id '{study_id}' "
-                                      f"(first at {first})"))
+            errors.append(LedgerError(f"{name}: duplicate study id '{study_id}' (first at {first})"))
             continue
         studies.append(study)
     return studies, errors

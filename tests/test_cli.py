@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import evidential
 from evidential.cli import _json_rows, build_rows, main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
-from evidential.ledger import StudyLedger, StudySummary
+from evidential.ledger import StudyLedger, StudySummary, document_rows, parse_rows
 
 from helpers import (
     CorrelationTriple,
@@ -31,6 +32,7 @@ from helpers import (
 
 INF = math.inf
 HEADER_LINE = b"id,n,x1,x2,x3,s1,s2,s3\n"
+DATA = Path(evidential.__path__[0]) / "data"  # the bundled corpora
 
 
 @pytest.fixture()
@@ -210,7 +212,7 @@ def test_compute_footer_renders_products_beyond_default_decimal_precision(
 def golden_report(monkeypatch, mode):
     """The one-line JSON report of the bundled suspect corpus in *mode*, and
     its golden bytes in tests/data."""
-    monkeypatch.chdir(Path(evidential.__path__[0]) / "data")
+    monkeypatch.chdir(DATA)
     argv = ["compute", "--input", "suspect_studies.csv", "--mode", mode, "--format", "json"]
     golden = Path(__file__).parent / "data" / f"suspect_{mode}_report.json"
     return run(argv), (0, golden.read_text(encoding="utf-8"), "")
@@ -626,6 +628,149 @@ def test_compute_refuses_an_id_that_would_forge_lines_of_the_table(tmp_path):
     assert (proc.returncode, err) == (2, "error: studies[0], column id: could not parse "
                                          "'s1\\nproduct V: 1.00\\nposterior odds (prior 1): 1.00'\n")
     assert out.splitlines()[1].startswith("ok ") and out.count("product V:") == 1
+
+
+def test_compute_names_the_row_of_an_invalid_study_whose_id_repeats(tmp_path):
+    # an invalid 'a' and, later, two valid ones: each diagnostic names its row
+    rows = [("a", "1,0,1"), ("b", "1,1,1"), ("c", "1,1,1"), ("a", "1,1,1"), ("a", "1,1,1")]
+    path = tmp_path / "repeats.csv"
+    path.write_text(HEADER_LINE.decode() + "".join(f"{i},20,1,2,3,{sds}\n" for i, sds in rows),
+                    encoding="utf-8")
+    code, out, err = run(["compute", "--input", str(path)])
+    assert (code, err) == (2, "error: row 2: study 'a': sds must be positive\n"
+                              "error: row 6: duplicate study id 'a' (first at row 5)\n")
+    assert [line.split()[0] for line in out.splitlines()[1:4]] == ["b", "c", "a"]
+    entries = [{"id": i, "n": 20, "means": [1, 2, 3], "sds": [float(s) for s in sds.split(",")]}
+               for i, sds in rows]
+    path.write_text(json.dumps({"studies": entries}), encoding="utf-8")
+    assert run(["compute", "--input", str(path)]) == (code, out, err.replace(
+        "row 2", "studies[0]").replace("row 5", "studies[3]").replace("row 6", "studies[4]"))
+
+
+# --- robustness properties ----------------------------------------------------
+
+#: what a drawn row may carry besides valid cells: a defect that makes it an
+#: error, or a spelling that both formats read as the valid cell
+ROW_DEFECTS = (None, "unparsed cell", "bad sd", "repeated id", "quotient n", "padded id",
+               "control in id")
+#: controls that a CSV line can hold (str.splitlines ends a line at others)
+CSV_CONTROLS = ["\x00", "\x08", "\x1f", "\x7f", "\x9f"]
+
+
+@st.composite
+def ledger_rows(draw):
+    """Rows as ``(cells, id, valid)``: the cells as JSON values (a CSV line
+    writes each as ``str`` spells it), the id they are read as (None where
+    it does not parse), and whether they make a study unless the id repeats.
+    A numeric id is drawn only as ``str`` spells it: a JSON number is read
+    as ``str`` of its value, so that is the one spelling CSV reads as the
+    same id (JSON's 1e2 is the id '100.0', CSV's '1e2')."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        ident = draw(st.sampled_from(["a", "b", "s 1"]) | st.integers(0, 99)
+                     | st.floats(allow_nan=False, allow_infinity=False))
+        n = draw(st.integers(2, 60) | st.floats(2, 60))
+        means = draw(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+        sds = draw(st.lists(st.floats(0.01, 100), min_size=3, max_size=3))
+        cells, study_id, valid = [ident, n, *means, *sds], str(ident), True
+        if draw(st.booleans()):  # JSON may also give a number as its text
+            cells = list(map(str, cells))
+        defect = draw(st.sampled_from(ROW_DEFECTS))
+        if defect == "unparsed cell":
+            column = draw(st.integers(0, 7))
+            cells[column] = draw(st.sampled_from(["", "x", "1/0", "1e2e"] if column else [""]))
+            valid = False
+        elif defect == "bad sd":
+            cells[draw(st.integers(5, 7))] = draw(
+                st.sampled_from([0, -1.5, "0", "-0.0", "inf", "nan", "1e999"]))
+            valid = False
+        elif defect == "repeated id" and rows:
+            (cells[0], *_), study_id, _ = draw(st.sampled_from(rows))
+        elif defect == "quotient n":
+            cells[1] = draw(st.sampled_from(["141/6", "9/2", "100/3", "1/-6"]))
+            valid = cells[1] != "1/-6"
+        elif defect == "padded id":
+            cells[0] = draw(st.sampled_from([" ", "\t"])) + study_id + " "
+        elif defect == "control in id":
+            cells[0] = study_id + draw(st.sampled_from(CSV_CONTROLS)) + "x"
+        if defect == "control in id" or cells[0] == "":
+            study_id = None
+        rows.append((cells, study_id, valid and study_id is not None))
+    return rows
+
+
+def as_documents(rows):
+    """*rows* as a CSV ledger and as a JSON one, with a function that names
+    the rows of either as ``<k>`` for the k-th drawn row."""
+    csv = HEADER_LINE.decode() + "".join(",".join(map(str, row[0])) + "\n" for row in rows)
+    entries = [{"id": c[0], "n": c[1], "means": c[2:5], "sds": c[5:]} for c, _, _ in rows]
+
+    def by_place(text):
+        text = re.sub(r"row (\d+)", lambda m: f"<{int(m[1]) - 2}>", text)
+        return re.sub(r"studies\[(\d+)\]", r"<\1>", text)
+
+    return csv, json.dumps({"studies": entries}), by_place
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@settings(max_examples=100, deadline=None)
+@given(ledger_rows(), st.sampled_from(["paper", "exact"]))
+def test_a_ledger_reads_alike_as_csv_and_as_json(scratch, rows, mode):
+    # the same studies, and the same errors once rows are named by place,
+    # each led by its row's name; compute gives the same table and diagnostics
+    csv, doc, by_place = as_documents(rows)
+    results = []
+    for name, text in (("ledger.csv", csv), ("ledger.json", doc)):
+        studies, errors = parse_rows(document_rows(text)[1])
+        errors = [by_place(str(e)) for e in errors]
+        assert all(re.match(r"<\d+>[:,] ", e) for e in errors), errors
+        (scratch / name).write_text(text, encoding="utf-8")
+        code, out, err = run(["compute", "--input", str(scratch / name), "--mode", mode])
+        results.append((studies, errors, code, out, by_place(err)))
+    assert results[0] == results[1]
+    accepted = []  # the ids of the valid rows, each at its first valid row
+    for _, study_id, valid in rows:
+        if valid and study_id not in accepted:
+            accepted.append(study_id)
+    assert [s.id for s in results[0][0]] == accepted
+
+
+#: the ledgers mutated below: both bundled corpora and the mixed JSON ledger
+MUTATED_LEDGERS = [(DATA / name).read_bytes()
+                   for name in ("suspect_studies.csv", "reference_studies.csv")]
+MUTATED_LEDGERS.append((Path(__file__).parent / "data" / "mixed_ledger.json").read_bytes())
+MUTATION_TOKENS = (b",", b"\n", b'"', b"]", b"1e999", b"/0", b"\x00", "\u2028".encode())
+
+
+@st.composite
+def mutated_ledgers(draw):
+    # at a drawn place, overwrite as many bytes as a token has with it,
+    # delete that many, or insert it
+    data = draw(st.sampled_from(MUTATED_LEDGERS))
+    at, token = draw(st.integers(0, len(data))), draw(st.sampled_from(MUTATION_TOKENS))
+    put, cut = draw(st.sampled_from([(token, len(token)), (b"", len(token)), (token, 0)]))
+    return data[:at] + put + data[at + cut:]
+
+
+@settings(max_examples=250, deadline=None)
+@given(mutated_ledgers())
+def test_a_mutated_ledger_ends_in_a_report_or_diagnostics_that_name_their_cause(scratch, data):
+    path = scratch / "mutated"
+    path.write_bytes(data)
+    cause = re.compile(rf"error: ({re.escape(str(path))}: |cannot read {re.escape(str(path))}: "
+                       r"|(row \d+|studies\[\d+\])[:,] |study '|overflow: |no studies$)")
+    for mode in ("paper", "exact"):
+        for fmt in ("table", "json"):
+            argv = ["compute", "--input", str(path), "--mode", mode, "--format", fmt]
+            code, out, err = run(argv)
+            assert code in (0, 1, 2) and (code == 0) == (err == ""), (code, err)
+            assert all(cause.match(line) for line in err.splitlines()), err
+            if fmt == "json" and out:
+                json.loads(out, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
 
 
 # --- compute of a large ledger ----------------------------------------------
@@ -1318,7 +1463,6 @@ def test_compute_leaves_cycles_that_do_not_grow_with_the_studies(tmp_path, suspe
     assert found["big.json"] == found["suspect.csv"] and len(found["big.json"]) == 1, found
 
 
-DATA = Path(evidential.__path__[0]) / "data"
 DEV_MODE_CASES = [
     *(["compute", "--input", str(DATA / name), "--format", fmt]
       for name in ("suspect_studies.csv", "reference_studies.csv") for fmt in ("table", "json")),

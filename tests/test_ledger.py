@@ -88,7 +88,7 @@ def test_parse_rational_n():
         # a negative one is a number, refused by the row rules; a zero
         # denominator, or a value beyond the float range, is no number
         _, errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "1/-6")]))
-        assert [str(e) for e in errors] == ["study 'good': n must be positive"], fmt
+        assert [str(e) for e in errors] == [f"{where(0)}: study 'good': n must be positive"], fmt
         for cell in ("1/0", "1" * 400 + "/3"):
             with pytest.raises(LedgerError, match=re.escape(f"{where(0)}, column n: could not")):
                 parse_ledger(render(fmt, [GOOD], [(0, "n", cell)]))
@@ -96,7 +96,7 @@ def test_parse_rational_n():
 
 def test_parse_rejects_zero_sd():
     text = HEADER + "\nbad,20,1,2,3,1.0,0,1.0\n"
-    with pytest.raises(LedgerError, match="^study 'bad': sds must be positive$"):
+    with pytest.raises(LedgerError, match="^row 2: study 'bad': sds must be positive$"):
         parse_ledger(text)
 
 
@@ -155,10 +155,24 @@ def test_ids_are_non_empty_text_or_json_numbers():
             assert [str(e) for e in errors] == [
                 f"{where(1)}, column id: could not parse '{spelled}'"
             ], (fmt, cell)
-        # a number keeps its text as an id
+        # a number is the id str() spells it
         if fmt.startswith("json"):
             led = parse_ledger(render(fmt, [GOOD, ALSO_GOOD], [(0, "id", 7), (1, "id", 7.5)]))
             assert [s.id for s in led] == ["7", "7.5"]
+
+
+def test_a_json_number_id_is_str_of_its_value_and_a_csv_id_keeps_its_text():
+    # JSON parses a number before it is read as an id, so the id is how str()
+    # spells the int or float: 1e2 is '100.0', 1.50 is '1.5'; a CSV cell is text
+    entry = '{"id": %s, "n": 20, "means": [1, 2, 3], "sds": [1, 1, 1]}'
+    doc = '{"studies": [%s]}' % ", ".join(entry % i for i in ("1e2", "1.50", "7", "-0.0"))
+    assert [s.id for s in parse_ledger(doc)] == ["100.0", "1.5", "7", "-0.0"]
+    csv = HEADER + "\n1e2,20,1,2,3,1,1,1\n1.50,20,1,2,3,1,1,1\n100.0,20,1,2,3,1,1,1\n"
+    assert [s.id for s in parse_ledger(csv)] == ["1e2", "1.50", "100.0"]
+    # so JSON's 1e2 and 100.0 are one id, and CSV's 1e2 and 100.0 are two
+    _, errors = parse_ledger_lenient(doc.replace("1.50", "100.0"))
+    assert [str(e) for e in errors] == [
+        "studies[1]: duplicate study id '100.0' (first at studies[0])"]
 
 
 def test_text_ids_are_stripped_in_both_formats():
@@ -283,16 +297,16 @@ def test_malformed_document_is_one_error():
 
 
 def test_document_rows_give_every_row_one_shape():
-    # a row is (name, line number or None, cells); a line, entry or document
-    # that cannot be read is its own LedgerError, named as its row
+    # a row is (name, cells); a line, entry or document that cannot be read
+    # is its own LedgerError, named as its row
     source, rows = document_rows(HEADER + "\na, 20,1,2,3,1,1,1\nb,20,1\n", "doc")
-    assert (source, rows[0]) == ("doc", ("row 2", 2, ["a", "20", "1", "2", "3", "1", "1", "1"]))
+    assert (source, rows[0]) == ("doc", ("row 2", ["a", "20", "1", "2", "3", "1", "1", "1"]))
     assert type(rows[1]) is LedgerError and str(rows[1]) == "row 3: expected 8 columns, got 3"
     entry = {"id": "a", "n": 20, "means": [1, 2, 3.5], "sds": [1, 1, 1]}
     no_n = {key: cell for key, cell in entry.items() if key != "n"}
     doc = {"source": "paper", "studies": [entry, [entry], no_n, {**entry, "means": [1, 2]}]}
     source, rows = document_rows(json.dumps(doc), "doc")
-    assert (source, rows[0]) == ("paper", ("studies[0]", None, ["a", 20, 1, 2, 3.5, 1, 1, 1]))
+    assert (source, rows[0]) == ("paper", ("studies[0]", ["a", 20, 1, 2, 3.5, 1, 1, 1]))
     assert all(type(row) is LedgerError for row in rows[1:])
     assert [str(row) for row in rows[1:]] == [
         "studies[1]: expected an object with keys id, n, means, sds",
@@ -319,7 +333,7 @@ def test_one_ledger_as_csv_and_as_json_gives_the_same_studies_and_errors():
         parsed[fmt] = found, texts
     assert parsed["csv"][1] == [
         "<1>, column x3: could not parse 'x'",
-        "study 'bad': sds must be positive",
+        "<2>: study 'bad': sds must be positive",
         "<3>, column id: could not parse '\\x00'",
         "<4>: duplicate study id 'good' (first at <0>)",
     ]
@@ -445,7 +459,7 @@ def test_json_honours_its_source():
 
 def test_load_ledger_reads_a_file_as_parse_ledger_reads_its_text(tmp_path):
     studies = (GOOD, ALSO_GOOD)
-    for fmt in ("csv", "json"):
+    for fmt, where in FORMATS[:2]:
         path = tmp_path / f"ledger.{fmt}"
         path.write_text(render(fmt, studies), encoding="utf-8")
         loaded = load_ledger(path)
@@ -453,7 +467,8 @@ def test_load_ledger_reads_a_file_as_parse_ledger_reads_its_text(tmp_path):
         assert (loaded.studies, loaded.source) == (parsed.studies, parsed.source)
         assert loaded.studies == studies
         path.write_text(render(fmt, studies, [(1, "n", "-1")]), encoding="utf-8")
-        with pytest.raises(LedgerError, match="^study 'also-good': n must be positive$"):
+        message = f"{where(1)}: study 'also-good': n must be positive"
+        with pytest.raises(LedgerError, match=f"^{re.escape(message)}$"):
             load_ledger(path)
 
 
@@ -464,13 +479,13 @@ def test_lenient_parse_keeps_valid_rows():
     )
     led, errors = parse_ledger_lenient(text)
     assert [s.id for s in led] == ["good", "also-good"]
-    assert [str(e) for e in errors] == ["study 'bad': sds must be positive"]
+    assert [str(e) for e in errors] == ["row 3: study 'bad': sds must be positive"]
     bad = StudySummary("bad", 20, (1, 2, 3), (1, 1, 1))
-    for fmt, _ in FORMATS:
+    for fmt, where in FORMATS:
         text = render(fmt, [GOOD, bad, ALSO_GOOD], edits=[(1, "s2", 0)])
         led, errors = parse_ledger_lenient(text)
         assert [s.id for s in led] == ["good", "also-good"], fmt
-        assert [str(e) for e in errors] == ["study 'bad': sds must be positive"]
+        assert [str(e) for e in errors] == [f"{where(1)}: study 'bad': sds must be positive"]
 
 
 def test_serialize_rejects_comma_ids():

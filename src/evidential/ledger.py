@@ -4,14 +4,15 @@ A "study" here is one three-cell ANOVA result as printed in a publication:
 the per-cell sample size ``n``, the three cell means and the three cell
 standard deviations.  A ledger document, in a small CSV dialect (hand-typed
 tables) or a JSON mapping (tooling), gives rows of one shape
-(:func:`document_rows`), and :func:`parse_rows` makes them the studies of a
-:class:`StudyLedger`.
+(:func:`document_rows`), and :func:`parse_rows` makes them studies; a parsed
+ledger is a tuple of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 
 #: Mandatory CSV header, fixed order.
@@ -51,26 +52,6 @@ def _study(cls, id, n, means, sds):
     if problems:
         raise LedgerError(f"study '{id}': " + "; ".join(problems))
     return self
-
-
-class StudyLedger:
-    """An ordered, read-only collection of studies; :func:`parse_rows`
-    refuses a repeated id, so the ids of a parsed ledger are unique."""
-
-    __slots__ = ("studies", "source")
-
-    def __init__(self, studies, source: str = "<unknown>"):
-        object.__setattr__(self, "studies", tuple(studies))
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to StudyLedger.{name}")
-
-    def __len__(self):
-        return len(self.studies)
-
-    def __iter__(self):
-        return iter(self.studies)
 
 
 def validate(study: StudySummary) -> list[str]:
@@ -269,25 +250,23 @@ def parse_rows(rows):
 
 
 def parse_ledger_lenient(text: str, source: str = "<string>"):
-    """``(ledger, errors)`` of a ledger document (CSV dialect or JSON
+    """``(studies, errors)`` of a ledger document (CSV dialect or JSON
     mapping) read by :func:`document_rows` and :func:`parse_rows`: rows
     survive the errors of others, a malformed document is one error."""
-    source, rows = document_rows(text, source)
-    studies, errors = parse_rows(rows)
-    return StudyLedger(studies, source), errors
+    studies, errors = parse_rows(document_rows(text, source)[1])
+    return tuple(studies), errors
 
 
-def parse_ledger(text: str, source: str = "<string>") -> StudyLedger:
-    """Like :func:`parse_ledger_lenient`, but raise its first error."""
-    ledger, errors = parse_ledger_lenient(text, source)
+def parse_ledger(text: str, source: str = "<string>") -> tuple[StudySummary, ...]:
+    """The studies of :func:`parse_ledger_lenient`, whose ids are unique;
+    raise its first error (*source* names the document in diagnostics)."""
+    studies, errors = parse_ledger_lenient(text, source)
     if errors:
         raise errors[0]
-    return ledger
+    return studies
 
 
-def load_ledger(path) -> StudyLedger:
+def load_ledger(path) -> tuple[StudySummary, ...]:
     """Read and parse a ledger file (CSV or JSON, sniffed by content)."""
-    from pathlib import Path  # here, so that loading the command line never loads it
-
-    p = Path(path)
-    return parse_ledger(p.read_text(encoding="utf-8"), source=str(p))
+    with open(path, encoding="utf-8") as f:
+        return parse_ledger(f.read(), source=_spelled(os.fspath(path)))

@@ -15,6 +15,6 @@ def reference():
 
 @pytest.fixture(scope="session")
 def by_id(suspect, reference):
-    table = {s.id: s for s in suspect.studies}
-    table.update({s.id: s for s in reference.studies})
+    table = {s.id: s for s in suspect}
+    table.update({s.id: s for s in reference})
     return table

@@ -444,20 +444,19 @@ def copying_errors(sigma, rho, n, seed):
 # --- ledger writers ----------------------------------------------------------
 
 
-def ledger_to_mapping(ledger) -> dict:
-    return {
-        "source": ledger.source,
-        "studies": [
-            {"id": s.id, "n": s.n, "means": list(s.means), "sds": list(s.sds)}
-            for s in ledger
-        ],
-    }
+def ledger_to_mapping(studies, source=None) -> dict:
+    """*studies* as a JSON ledger's mapping, with a ``source`` where given."""
+    doc = {} if source is None else {"source": source}
+    doc["studies"] = [
+        {"id": s.id, "n": s.n, "means": list(s.means), "sds": list(s.sds)} for s in studies
+    ]
+    return doc
 
 
-def serialize_ledger(ledger) -> str:
-    """Render a ledger as CSV text (12 significant digits, round-trip safe)."""
+def serialize_ledger(studies) -> str:
+    """Render *studies* as CSV text (12 significant digits, round-trip safe)."""
     lines = [",".join(COLUMNS)]
-    for s in ledger:
+    for s in studies:
         if "," in s.id or "\n" in s.id:
             raise LedgerError(f"study id {s.id!r} cannot be serialized to CSV")
         fields = [s.id, f"{s.n:.12g}"]

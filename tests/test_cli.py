@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import evidential
 from evidential.cli import _json_rows, build_rows, main, render_value
 from evidential.engine import Case, EvidentialValue, Mode, combine, evidential_value
-from evidential.ledger import StudyLedger, StudySummary, document_rows, parse_rows
+from evidential.ledger import StudySummary, document_rows, parse_rows
 
 from helpers import (
     CorrelationTriple,
@@ -115,7 +115,7 @@ def test_records_are_read_only(reference):
     from evidential.geometry import variance_profile
     from evidential.simulate import ModelParams, SimulationReport
 
-    study = reference.studies[0]
+    study = reference[0]
     records = [
         study,
         reference,
@@ -128,7 +128,7 @@ def test_records_are_read_only(reference):
         build_rows([study], Mode.PAPER)[0],
     ]
     for record in records:
-        for name in (*getattr(record, "_fields", ("studies", "source")), "extra"):
+        for name in (*getattr(record, "_fields", ()), "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
 
@@ -197,10 +197,10 @@ def test_compute_footer_renders_products_beyond_default_decimal_precision(
 ):
     # 50 copies of study 1 (V = 3.92) multiply to ~4.6e29: a finite product
     # with more integer digits than the default decimal context holds
-    row = suspect.studies[0]
+    row = suspect[0]
     studies = [StudySummary(f"r{k}", row.n, row.means, row.sds) for k in range(50)]
     path = tmp_path / "many.csv"
-    path.write_text(serialize_ledger(StudyLedger(studies)), encoding="utf-8")
+    path.write_text(serialize_ledger(studies), encoding="utf-8")
     code, out, err = run(["compute", "--input", str(path)])
     assert code == 0 and err == ""
     product = combine([evidential_value(s, Mode.PAPER) for s in studies]).product_lower
@@ -783,14 +783,14 @@ def large_ledger(tmp_path, fmt, edits=(), count=LARGE_ROWS, source="large"):
     line)`` edit replaces the k-th study with a CSV line, or in JSON with
     an entry."""
     rng = np.random.default_rng(count)
-    ledger = StudyLedger([random_study(rng, f"s{k}") for k in range(count)], source)
+    studies = [random_study(rng, f"s{k}") for k in range(count)]
     if fmt == "csv":
-        lines = serialize_ledger(ledger).splitlines()
+        lines = serialize_ledger(studies).splitlines()
         for k, line in edits:
             lines[k + 1] = line
         text = "\n".join(lines) + "\n"
     else:
-        doc = ledger_to_mapping(ledger)
+        doc = ledger_to_mapping(studies, source)
         for k, entry in edits:
             doc["studies"][k] = entry
         text = json.dumps(doc)
@@ -850,38 +850,17 @@ LARGE_CASES = {
 }
 
 
-@pytest.fixture()
-def forced_compute(monkeypatch):
-    """Run compute with the number of processes ``_fork`` gives forced, and
-    no fork allowed; give its exit code, stdout and stderr."""
-    from evidential import _fork
-
-    def no_fork():
-        raise AssertionError("compute forked")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
-
-    def compute(argv, processes):
-        monkeypatch.setattr(_fork, "processes", lambda units, least: processes)
-        return run(["compute", *argv])
-
-    return compute
-
-
 @pytest.mark.parametrize("case", LARGE_CASES)
-def test_compute_split_across_processes_gives_the_one_process_report(
-    tmp_path, forced_compute, case
-):
-    # compute evaluates in one process even where _fork would split
+def test_compute_split_across_processes_gives_the_one_process_report(tmp_path, case):
+    # compute evaluates a ledger of any size in one process: it exits with
+    # the case's codes, with a report where it exits 0 and a diagnostic
+    # where it does not
     fmt, edits, source, codes = LARGE_CASES[case]
     path = large_ledger(tmp_path, fmt, edits, source=source)
-    got = []
-    for options in OPTIONS:
-        argv = ["--input", str(path), *options]
-        one = forced_compute(argv, 1)
-        assert forced_compute(argv, 3) == one, (case, options)
-        got.append(one[0])
-    assert got == codes
+    runs = [run(["compute", "--input", str(path), *options]) for options in OPTIONS]
+    assert [code for code, _, _ in runs] == codes, case
+    for (code, out, err), options in zip(runs, OPTIONS):
+        assert bool(err) == (code != 0) and (out or code), (case, options)
 
 
 def test_compute_forks_no_process(tmp_path, monkeypatch):
@@ -902,25 +881,21 @@ def test_compute_forks_no_process(tmp_path, monkeypatch):
     assert [code for code, _, _ in plain] == [2] * 5 and all(out for _, out, _ in plain[:4])
 
 
-def test_compute_split_names_each_json_entry_by_its_place(tmp_path, forced_compute):
+def test_compute_names_each_json_entry_by_its_place(tmp_path):
     # a bad entry is named by its place in the whole ledger
     path = large_ledger(tmp_path, "json", LARGE_CASES["bad_means"][1])
-    for processes in (1, 3):
-        code, out, err = forced_compute(["--input", str(path)], processes)
-        assert code == 2 and out
-        assert err == (
-            "error: studies[7]: expected an object with keys id, n, means, sds\n"
-            "error: studies[1700]: missing key 'means'\n"
-            "error: studies[2000]: means and sds must be lists of three numbers\n"
-        )
+    code, out, err = run(["compute", "--input", str(path)])
+    assert code == 2 and out
+    assert err == (
+        "error: studies[7]: expected an object with keys id, n, means, sds\n"
+        "error: studies[1700]: missing key 'means'\n"
+        "error: studies[2000]: means and sds must be lists of three numbers\n"
+    )
 
 
-def test_compute_with_a_repeated_id_runs_as_one_run(tmp_path, forced_compute):
-    # the one run checks all rows for repeats: a repeat is found wherever it is
+def test_compute_finds_a_repeat_of_an_id_far_from_its_first_row(tmp_path):
     path = large_ledger(tmp_path, "csv", [(2000, "s5,20,1,2,3,1,1,1")])
-    one = forced_compute(["--input", str(path)], 1)
-    assert forced_compute(["--input", str(path)], 3) == one
-    code, _, err = one
+    code, _, err = run(["compute", "--input", str(path)])
     assert (code, err) == (2, "error: row 2002: duplicate study id 's5' (first at row 7)\n")
 
 
@@ -1446,9 +1421,9 @@ def test_compute_leaves_cycles_that_do_not_grow_with_the_studies(tmp_path, suspe
     # what a collection finds after a run without the collector is the same
     # for 12 studies as for 400: compute makes no cycle per study
     rng = np.random.default_rng(400)
-    ledger = StudyLedger([random_study(rng, f"s{k}") for k in range(400)])
+    studies = [random_study(rng, f"s{k}") for k in range(400)]
     big = tmp_path / "big.json"
-    big.write_text(json.dumps(ledger_to_mapping(ledger)), encoding="utf-8")
+    big.write_text(json.dumps(ledger_to_mapping(studies)), encoding="utf-8")
     was = gc.isenabled()
     found = {}
     try:

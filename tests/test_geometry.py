@@ -361,14 +361,14 @@ def test_exact_infimum_scale_equivariance(c):
 
 
 def test_variance_profile_row1(suspect):
-    prof = variance_profile(suspect.studies[0])
+    prof = variance_profile(suspect[0])
     # n z^2 = 20 * 0.07^2 = 0.098 and s0^2 = 4.0001
     assert prof.z_v == pytest.approx(math.sqrt(0.098 / 4.0001), abs=1e-12)
     assert prof.z_c == pytest.approx(math.sqrt(0.098 / (2 * (1.21**2 + 0.72**2 + 0.68**2))), abs=1e-12)
 
 
 def test_variance_profile_row8(suspect):
-    prof = variance_profile(suspect.studies[7])
+    prof = variance_profile(suspect[7])
     s0_sq = 1.24**2 + 4 * 1.09**2 + 1.53**2
     assert prof.z_v == 0.0
     assert prof.q_exact == pytest.approx(0.0, abs=1e-9)

@@ -67,11 +67,24 @@ def test_cli_import_loads_no_signal():
 
 
 def test_cli_import_loads_no_pathlib():
-    # only load_ledger needs pathlib (and the fnmatch and urllib.parse it
-    # loads); -S, because a .pth file that site runs may load it anyway
+    # no command needs pathlib (and the fnmatch and urllib.parse it loads);
+    # -S, because a .pth file that site runs may load it anyway
     proc = _run("import sys, evidential.cli\nprint('pathlib' in sys.modules)", flags=("-S",))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_load_ledger_loads_no_pathlib(tmp_path):
+    # load_ledger reads a file as compute does, with open
+    path = tmp_path / "ledger.csv"
+    path.write_text("id,n,x1,x2,x3,s1,s2,s3\na,20,1,2,3,1,1,1\n", encoding="utf-8")
+    proc = _run(
+        "import sys, evidential\n"
+        "print(len(evidential.load_ledger(sys.argv[1])), 'pathlib' in sys.modules)",
+        str(path), flags=("-S",),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 False"
 
 
 def test_benchmark_tracer_finds_its_targets():

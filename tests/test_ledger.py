@@ -3,10 +3,10 @@ import re
 
 import pytest
 
+from evidential import datasets
 from evidential.ledger import (
     COLUMNS,
     LedgerError,
-    StudyLedger,
     StudySummary,
     document_rows,
     load_ledger,
@@ -43,15 +43,14 @@ def render(fmt, studies, edits=()):
     """
     if fmt.endswith("+bom"):
         return "\ufeff" + render(fmt.removesuffix("+bom"), studies, edits)
-    ledger = StudyLedger(tuple(studies))
     if fmt == "csv":
-        lines = serialize_ledger(ledger).splitlines()
+        lines = serialize_ledger(studies).splitlines()
         for k, column, cell in edits:
             cells = lines[k + 1].split(",")
             cells[COLUMNS.index(column)] = str(cell)
             lines[k + 1] = ",".join(cells)
         return "\n".join(lines) + "\n"
-    doc = ledger_to_mapping(ledger)
+    doc = ledger_to_mapping(studies)
     for k, column, cell in edits:
         entry, i = doc["studies"][k], COLUMNS.index(column)
         if i < 2:
@@ -65,7 +64,7 @@ def test_parse_single_row_with_spaces():
     text = HEADER + "\n1, 20, 2.47,3.04,3.68, 1.21,0.72,0.68\n"
     led = parse_ledger(text)
     assert len(led) == 1
-    s = led.studies[0]
+    s = led[0]
     assert s.id == "1"
     assert s.n == 20.0
     assert s.means == (2.47, 3.04, 3.68)
@@ -75,16 +74,16 @@ def test_parse_single_row_with_spaces():
 def test_parse_rational_n():
     text = HEADER + "\nHagtvedt-l, 141/6, 4.39,3.97,3.84, 0.76,1.26,1.14\n"
     led = parse_ledger(text)
-    assert led.studies[0].n == 23.5
+    assert led[0].n == 23.5
     for fmt, where in FORMATS:
         led = parse_ledger(render(fmt, [GOOD], [(0, "n", "141/6")]))
-        assert led.studies[0].n == 23.5, fmt
+        assert led[0].n == 23.5, fmt
         # quotients are read in the n column only
         with pytest.raises(LedgerError, match=re.escape(f"{where(0)}, column x1")):
             parse_ledger(render(fmt, [GOOD], [(0, "x1", "141/6")]))
         # a quotient is the correctly rounded float of its exact value
         led = parse_ledger(render(fmt, [GOOD], [(0, "n", "100/3")]))
-        assert led.studies[0].n == 100 / 3, fmt
+        assert led[0].n == 100 / 3, fmt
         # a negative one is a number, refused by the row rules; a zero
         # denominator, or a value beyond the float range, is no number
         _, errors = parse_ledger_lenient(render(fmt, [GOOD], [(0, "n", "1/-6")]))
@@ -127,12 +126,12 @@ def test_json_refuses_what_is_not_a_number_or_a_row():
         with pytest.raises(LedgerError, match=re.escape(message)):
             parse_ledger(text)
     # a string is not a list of means, and every key is required
-    doc = ledger_to_mapping(StudyLedger((GOOD, ALSO_GOOD)))
+    doc = ledger_to_mapping((GOOD, ALSO_GOOD))
     doc["studies"][1]["means"] = "123"
     with pytest.raises(LedgerError, match=re.escape("studies[1]: means and sds must be lists")):
         parse_ledger(json.dumps(doc))
     for key in ("id", "n", "means", "sds"):
-        doc = ledger_to_mapping(StudyLedger((GOOD, ALSO_GOOD)))
+        doc = ledger_to_mapping((GOOD, ALSO_GOOD))
         del doc["studies"][1][key]
         led, errors = parse_ledger_lenient(json.dumps(doc))
         assert [s.id for s in led] == ["good"]
@@ -290,7 +289,7 @@ def test_malformed_document_is_one_error():
         ('{"source": null, "studies": []}', "doc: a JSON ledger's 'source' must be"),
     ):
         led, errors = parse_ledger_lenient(text, source="doc")
-        assert len(led) == 0 and led.source == "doc"
+        assert led == () and document_rows(text, "doc")[0] == "doc"
         assert len(errors) == 1 and message in str(errors[0]), text
         with pytest.raises(LedgerError, match=re.escape(message)):
             parse_ledger(text, source="doc")
@@ -386,11 +385,18 @@ def test_replace_and_make_validate_like_the_constructor():
             make()
 
 
-def test_ledger_length_and_iteration():
-    led = StudyLedger([GOOD, ALSO_GOOD], source="s")
-    assert len(led) == 2 and list(led) == [GOOD, ALSO_GOOD] and led.studies == (GOOD, ALSO_GOOD)
-    assert len(StudyLedger(())) == 0 and list(StudyLedger(())) == []
-    assert StudyLedger(()).source == "<unknown>"
+def test_a_parsed_ledger_is_a_tuple_of_studies(tmp_path):
+    # the same studies as CSV and as JSON compare equal by value
+    path = tmp_path / "ledger.json"
+    path.write_text(render("json", (GOOD, ALSO_GOOD)), encoding="utf-8")
+    parsed = [parse_ledger(render(fmt, (GOOD, ALSO_GOOD))) for fmt, _ in FORMATS]
+    parsed.append(load_ledger(path))
+    assert parsed == [(GOOD, ALSO_GOOD)] * 5
+    assert parse_ledger(render("csv", ())) == parse_ledger(render("json", ())) == ()
+    bundled = [datasets.suspect_ledger(), datasets.reference_ledger()]
+    assert [len(led) for led in bundled] == [12, 21]
+    for led in parsed + bundled:
+        assert type(led) is tuple and all(type(s) is StudySummary for s in led)
 
 
 def test_warnings_flag_noninteger_and_tiny_n():
@@ -410,7 +416,7 @@ def test_the_small_n_note_starts_below_five():
 
 def test_serialize_parse_round_trip(suspect, reference):
     for led in (suspect, reference):
-        again = parse_ledger(serialize_ledger(led), source=led.source)
+        again = parse_ledger(serialize_ledger(led))
         assert len(again) == len(led)
         for a, b in zip(led, again):
             assert a.id == b.id
@@ -435,26 +441,26 @@ def test_json_mapping_round_trip(suspect, reference):
     doc = json.dumps(ledger_to_mapping(reference))
     again = parse_ledger(doc)
     assert len(again) == 21
-    assert again.studies[0].id == "Hagtvedt-l"
-    assert again.studies[0].n == 23.5
+    assert again[0].id == "Hagtvedt-l"
+    assert again[0].n == 23.5
     # the fixtures are parsed from the bundled CSV files, and the JSON form
     # carries every float exactly: both formats give the same studies
     for led in (suspect, reference):
-        assert parse_ledger(json.dumps(ledger_to_mapping(led))).studies == led.studies
+        assert parse_ledger(json.dumps(ledger_to_mapping(led))) == led
 
 
 def test_json_accepts_rational_n_strings():
     doc = json.dumps(
         {"studies": [{"id": "q", "n": "141/6", "means": [1, 2, 3], "sds": [1, 1, 1]}]}
     )
-    assert parse_ledger(doc).studies[0].n == 23.5
+    assert parse_ledger(doc)[0].n == 23.5
 
 
 def test_json_honours_its_source():
-    doc = ledger_to_mapping(StudyLedger((GOOD,), source="committee table 2"))
-    assert parse_ledger(json.dumps(doc), source="file.json").source == "committee table 2"
+    doc = ledger_to_mapping((GOOD,), source="committee table 2")
+    assert document_rows(json.dumps(doc), source="file.json")[0] == "committee table 2"
     del doc["source"]
-    assert parse_ledger(json.dumps(doc), source="file.json").source == "file.json"
+    assert document_rows(json.dumps(doc), source="file.json")[0] == "file.json"
 
 
 def test_load_ledger_reads_a_file_as_parse_ledger_reads_its_text(tmp_path):
@@ -462,14 +468,25 @@ def test_load_ledger_reads_a_file_as_parse_ledger_reads_its_text(tmp_path):
     for fmt, where in FORMATS[:2]:
         path = tmp_path / f"ledger.{fmt}"
         path.write_text(render(fmt, studies), encoding="utf-8")
-        loaded = load_ledger(path)
-        parsed = parse_ledger(render(fmt, studies), source=str(path))
-        assert (loaded.studies, loaded.source) == (parsed.studies, parsed.source)
-        assert loaded.studies == studies
+        assert load_ledger(path) == parse_ledger(render(fmt, studies)) == studies
         path.write_text(render(fmt, studies, [(1, "n", "-1")]), encoding="utf-8")
         message = f"{where(1)}: study 'also-good': n must be positive"
         with pytest.raises(LedgerError, match=f"^{re.escape(message)}$"):
             load_ledger(path)
+
+
+def test_load_ledger_names_its_path_on_one_line(tmp_path):
+    # a line break in the path is escaped as a cell's is, and a str path
+    # reads as a PathLike one
+    path = tmp_path / "bad\nproduct V: 1.json"
+    path.write_text('{"studies": [', encoding="utf-8")
+    for given in (path, str(path)):
+        with pytest.raises(LedgerError) as caught:
+            load_ledger(given)
+        assert str(caught.value).startswith(str(path).replace("\n", "\\n") + ": invalid JSON: ")
+        assert "\n" not in str(caught.value)
+    with pytest.raises(OSError):
+        load_ledger(tmp_path / "missing.csv")
 
 
 def test_lenient_parse_keeps_valid_rows():
@@ -489,6 +506,5 @@ def test_lenient_parse_keeps_valid_rows():
 
 
 def test_serialize_rejects_comma_ids():
-    led = StudyLedger(studies=(StudySummary("a,b", 20, (1, 2, 3), (1, 1, 1)),))
     with pytest.raises(LedgerError, match="cannot be serialized"):
-        serialize_ledger(led)
+        serialize_ledger([StudySummary("a,b", 20, (1, 2, 3), (1, 1, 1))])
